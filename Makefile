@@ -8,8 +8,11 @@ install:
 dev:
 	pip install -e .[dev]
 
+# The benchmark's own tests run as a separate session: perfbench/tests
+# puts the benchmark's modules on sys.path.
 test: trace-smoke bench-smoke serve-smoke compile-smoke quantize-smoke sparsity-smoke chaos-smoke telemetry-smoke fleet-smoke gray-smoke
 	pytest tests/
+	pytest perfbench/tests
 
 # Capture one trace + metrics sidecar and validate both against their
 # schemas (docs/observability.md) — cheap end-to-end observability check.

@@ -72,7 +72,6 @@ from .passes import (
     _FOLDABLE,
     _PlanNode,
     _conv_geometry,
-    _fold_bn_into,
     PassResult,
     Pipeline,
     Transform,
@@ -87,6 +86,14 @@ from .quantize import (
 __all__ = ["CompileConfig", "PlanStats", "InferencePlan", "compile_executor"]
 
 _log = get_logger("nn.compile")
+
+#: Code width of int8 plans: symmetric codes in ``[-_LEVELS, _LEVELS]``.
+QUANTIZE_BITS = 8
+_LEVELS = 2 ** (QUANTIZE_BITS - 1) - 1
+#: Synthetic calibration set: seeded standard-normal batches of the plan's
+#: input shape, used when ``CompileConfig.calibration_data`` is unset.
+CALIBRATION_BATCHES = 2
+CALIBRATION_SEED = 2021
 
 
 @dataclass(frozen=True)
@@ -103,11 +110,7 @@ class CompileConfig:
     fold_bn: bool = True            #: fold BatchNorm into producer weights
     fuse_activations: bool = True   #: in-place activation post-ops
     constant_fold: bool = True      #: precompute BN scale/shift constants
-    arena: bool = True              #: liveness-based buffer reuse
     quantize: bool = False          #: int8 PTQ plan (see :meth:`int8`)
-    quantize_bits: int = 8          #: weight/activation code width
-    calibration_batches: int = 2    #: observer batches for activation ranges
-    calibration_seed: int = 2021    #: seed of the synthetic calibration data
     sparsity: float = 0.0           #: magnitude-prune target (0 = no prune)
     prune_scope: str = "layer"      #: "layer" or "global" threshold scope
     #: Per-layer sparsity overrides as ``((name, target), ...)`` pairs —
@@ -118,7 +121,8 @@ class CompileConfig:
     pack_conflict: str = "prune"    #: "disjoint" or "prune" (joint opt.)
     #: Optional representative calibration inputs — a tuple of (N, C, H, W)
     #: float arrays (any N, same CHW as the plan).  Without it the
-    #: observer pass runs on seeded standard-normal batches, which
+    #: observer pass runs on :data:`CALIBRATION_BATCHES` seeded
+    #: standard-normal batches, which
     #: matches serving's seed-derived inputs but NOT a model trained on a
     #: real data distribution: always calibrate on real data when the
     #: model has been trained.  Excluded from config equality/hash.
@@ -229,7 +233,6 @@ class PlanStats:
             return 0.0
         return 1.0 - self.arena_bytes / self.naive_bytes
 
-
 class _Arena:
     """Slab allocator with liveness-driven reuse.
 
@@ -243,9 +246,8 @@ class _Arena:
     always taken at slab offset 0, so alignment holds for every dtype.
     """
 
-    def __init__(self, dtype: np.dtype, enabled: bool = True) -> None:
+    def __init__(self, dtype: np.dtype) -> None:
         self.dtype = np.dtype(dtype)  # default dtype for acquire()
-        self.enabled = enabled
         self.slabs: List[np.ndarray] = []
         self.dedicated: List[np.ndarray] = []
         self._free: List[np.ndarray] = []
@@ -256,14 +258,12 @@ class _Arena:
         """Returns ``(slab, view)``; pass ``slab`` back to :meth:`release`."""
         dt = self.dtype if dtype is None else np.dtype(dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        slab = None
-        if self.enabled:
-            fits = [(s.nbytes, i) for i, s in enumerate(self._free)
-                    if s.nbytes >= nbytes]
-            if fits:
-                _, i = min(fits)
-                slab = self._free.pop(i)
-        if slab is None:
+        fits = [(s.nbytes, i) for i, s in enumerate(self._free)
+                if s.nbytes >= nbytes]
+        if fits:
+            _, i = min(fits)
+            slab = self._free.pop(i)
+        else:
             slab = np.empty(nbytes, dtype=np.uint8)
             self.slabs.append(slab)
         return slab, slab[:nbytes].view(dt).reshape(shape)
@@ -282,6 +282,56 @@ class _Arena:
     @property
     def total_bytes(self) -> int:
         return self.pooled_bytes + sum(a.nbytes for a in self.dedicated)
+
+
+class _StepAlloc:
+    """The buffers of one plan step, drawn from the shared arena.
+
+    Acquisition order is the op's to choose (it decides which free slabs
+    are reused).  Scratch is released by :meth:`close` once the step is
+    built, so no two buffers of one step alias, and later steps recycle
+    it — safe because a scratch is only written while its own step runs.
+    ``extra`` counts scratch and dedicated bytes for ``naive_bytes``.
+    """
+
+    def __init__(self, arena: _Arena) -> None:
+        self.arena = arena
+        self.extra = 0
+        self.slab: Optional[np.ndarray] = None
+        self.out: Optional[np.ndarray] = None
+        self._scratch: List[np.ndarray] = []
+
+    def scratch(self, shape, dtype=None) -> np.ndarray:
+        slab, view = self.arena.acquire(shape, dtype)
+        self._scratch.append(slab)
+        self.extra += view.nbytes
+        return view
+
+    def output(self, shape, dtype=None) -> np.ndarray:
+        """Acquire the step's output; a previous output becomes scratch."""
+        if self.out is not None:
+            self._scratch.append(self.slab)
+            self.extra += self.out.nbytes
+        self.slab, self.out = self.arena.acquire(shape, dtype)
+        return self.out
+
+    def dedicate(self, array: np.ndarray) -> np.ndarray:
+        """Keep ``array`` (e.g. a padded input with fixed borders) for good."""
+        self.extra += array.nbytes
+        return self.arena.dedicate(array)
+
+    def post_op(self, act: Optional[Node], shape, dtype=None):
+        """``(post, scratch)`` of a fused activation, ``(None, None)``
+        without one; see :func:`_act_post_op`."""
+        if act is None:
+            return None, None
+        post, needs_scratch = _act_post_op(act.layer.fn)
+        return post, self.scratch(shape, dtype) if needs_scratch else None
+
+    def close(self) -> None:
+        for slab in self._scratch:
+            self.arena.release(slab)
+        self._scratch = []
 
 
 # ------------------------------------------------- fused activation post-ops
@@ -472,12 +522,7 @@ def compile_executor(
                            batch=input_shape[0], int8=config.quantize):
         pipeline = Pipeline.from_config(config)
         transform = pipeline.run(executor, network, input_shape, config)
-        if config.quantize:
-            plan = _build_int8_plan(executor, network, input_shape, config,
-                                    transform)
-        else:
-            plan = _build_plan(executor, network, input_shape, config,
-                               transform)
+        plan = _build_plan(executor, network, input_shape, config, transform)
     plan.stats.compile_ms = (time.perf_counter() - start) * 1000.0
     plan.pass_results = transform.results
     plan.packing = transform.packing
@@ -505,6 +550,7 @@ def compile_executor(
         "compiled inference plan", network=network.name, batch=input_shape[0],
         ops=plan.stats.ops, folded_bn=plan.stats.folded_bn,
         fused_act=plan.stats.fused_activations,
+        int8_ops=plan.stats.int8_ops, fallbacks=plan.stats.int8_fallbacks,
         arena_kib=f"{plan.stats.arena_bytes / 1024:.0f}",
         ms=f"{plan.stats.compile_ms:.1f}",
     )
@@ -515,11 +561,23 @@ def _build_plan(
     executor, network: Network, input_shape: Tuple[int, ...],
     config: CompileConfig, transform: Transform,
 ) -> InferencePlan:
+    """Lower the transform's plan nodes into one static step list.
+
+    Every flavor walks the same nodes with the same liveness-driven
+    arena.  Float flavors lower each node through the float op table
+    (:func:`_build_step`).  The int8 flavor opens with a
+    ``QuantizeInput`` step, lowers each node through its integer kernel
+    (:func:`_build_int8_step`) or else the float fallback
+    (:func:`_float_fallback`), and closes with a ``Dequantize`` step
+    whenever the last buffer is not already float in the eager layout.
+    """
     n = input_shape[0]
+    quantize = config.quantize
     dtype = np.dtype(np.float32)
-    for p in executor.parameters():
-        dtype = p.dtype
-        break
+    if not quantize:
+        for p in executor.parameters():
+            dtype = p.dtype
+            break
 
     plan_nodes = transform.plan_nodes
     produced_by: Dict[str, int] = {}
@@ -527,50 +585,96 @@ def _build_plan(
         for part in (pn.node, pn.bn, pn.act):
             if part is not None:
                 produced_by[part.name] = i
-
-    # Liveness: how many plan steps read each buffer (+1 for the output).
-    refs = [0] * len(plan_nodes)
-    for pn in plan_nodes:
-        for src in pn.node.inputs:
-            refs[produced_by[src]] += 1
+    # Liveness: how many steps read each buffer (+1 for the output).  The
+    # extra last slot (index -1) is the plan input.
+    sources = [[produced_by[src] for src in pn.node.inputs] or [-1]
+               for pn in plan_nodes]
+    refs = [0] * (len(plan_nodes) + 1)
+    for srcs in sources:
+        for j in srcs:
+            refs[j] += 1
     refs[len(plan_nodes) - 1] += 1
 
-    arena = _Arena(dtype, enabled=config.arena)
+    arena = _Arena(dtype)
     input_view = arena.dedicate(np.zeros(input_shape, dtype=dtype))
-    buffers: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(plan_nodes)
-    naive_bytes = input_view.nbytes
+    #: Per buffer: ``(slab or None if never released, view, _Repr)``.
+    buffers: List[Optional[Tuple[Optional[np.ndarray], np.ndarray, _Repr]]] \
+        = [None] * (len(plan_nodes) + 1)
     steps: List[Callable[[], None]] = []
     labels: List[str] = []
     step_names: List[str] = []
     step_views: List[np.ndarray] = []
-    folded = fused = 0
+    naive_bytes = input_view.nbytes
+    folded = fused = int8_ops = fallbacks = 0
 
-    def in_views(pn: _PlanNode) -> List[np.ndarray]:
-        if not pn.node.inputs:
-            return [input_view]
-        return [buffers[produced_by[src]][1] for src in pn.node.inputs]
+    def emit(step, label, name, alloc):
+        nonlocal naive_bytes
+        alloc.close()
+        steps.append(step)
+        labels.append(label)
+        step_names.append(name)
+        step_views.append(alloc.out)
+        naive_bytes += alloc.out.nbytes + alloc.extra
+
+    if quantize:
+        # Quantize + transpose the float NCHW input into int8 NHWC codes
+        # (one fused multiply/round/cast pass).
+        s_input = _scale_for(transform.amax, "__input__")
+        alloc = _StepAlloc(arena)
+        nhwc = input_view.transpose(0, 2, 3, 1)
+        q_in = alloc.output(nhwc.shape, np.int8)
+        scr = alloc.scratch(nhwc.shape, np.float32)
+        emit(_requant(nhwc, scr, q_in, 1.0 / s_input, None, -_LEVELS, _LEVELS),
+             "QuantizeInput", "__input__", alloc)
+        int8_ops += 1
+        buffers[-1] = (alloc.slab, q_in, _Repr("i8", s_input, "__input__"))
+    else:
+        buffers[-1] = (None, input_view, _Repr("f32"))
 
     for idx, pn in enumerate(plan_nodes):
-        inputs = in_views(pn)
-        step, out_entry, extra_bytes = _build_step(
-            executor, pn, inputs, arena, config, n, transform
-        )
-        buffers[idx] = out_entry
-        naive_bytes += out_entry[1].nbytes + extra_bytes
-        steps.append(step)
-        labels.append(pn.label)
-        step_names.append(pn.out_name)
-        step_views.append(out_entry[1])
+        entries = [buffers[j][1:] for j in sources[idx]]
+        alloc = _StepAlloc(arena)
+        label = pn.label
+        rep = _Repr("f32", name=pn.out_name)
+        if not quantize:
+            step = _build_step(executor, pn, [v for v, _ in entries], alloc,
+                               config, n, transform)
+        else:
+            kernel = _build_int8_step(executor, pn, entries, alloc,
+                                      transform)
+            if kernel is not None:
+                step, rep = kernel
+                label += ":int8"
+                int8_ops += 1
+            else:
+                step = _float_fallback(executor, pn, entries, alloc, config,
+                                       n, transform)
+                label += ":float"
+                fallbacks += 1
+        emit(step, label, pn.out_name, alloc)
+        buffers[idx] = (alloc.slab, alloc.out, rep)
         folded += pn.bn is not None
         fused += pn.act is not None
         # Release buffers whose last consumer this step was.
-        for src in pn.node.inputs:
-            j = produced_by[src]
+        for j in sources[idx]:
             refs[j] -= 1
-            if refs[j] == 0 and buffers[j] is not None:
+            if refs[j] == 0 and buffers[j][0] is not None:
                 arena.release(buffers[j][0])
 
-    output_view = buffers[-1][1]
+    _, output_view, last = buffers[len(plan_nodes) - 1]
+    if quantize and (last.kind == "i8" or output_view.ndim == 4):
+        # Hand back float in the eager layout.
+        src = output_view.transpose(0, 3, 1, 2) if output_view.ndim == 4 \
+            else output_view
+        alloc = _StepAlloc(arena)
+        output_view = alloc.output(src.shape, np.float32)
+
+        def finalize(src=src, out=output_view, s=last.scale):
+            np.multiply(src, s, out=out)  # a float buffer has scale 1
+
+        emit(finalize, "Dequantize", "__output__", alloc)
+        int8_ops += last.kind == "i8"
+
     stats = PlanStats(
         network=network.name,
         batch=n,
@@ -582,6 +686,8 @@ def _build_plan(
         arena_bytes=arena.total_bytes + input_view.nbytes,
         pooled_bytes=arena.pooled_bytes,
         naive_bytes=naive_bytes,
+        int8_ops=int8_ops,
+        int8_fallbacks=fallbacks,
     )
     return InferencePlan(
         name=network.name, config=config, input_view=input_view,
@@ -591,10 +697,10 @@ def _build_plan(
 
 
 def _build_step(
-    executor, pn: _PlanNode, inputs: List[np.ndarray], arena: _Arena,
+    executor, pn: _PlanNode, inputs: List[np.ndarray], alloc: _StepAlloc,
     config: CompileConfig, n: int, transform: Transform,
-):
-    """One plan step: returns ``(closure, (slab, out_view), scratch_bytes)``.
+) -> Callable[[], None]:
+    """One float plan step over NCHW inputs, output into ``alloc.out``.
 
     The closure captures every constant — weights, views, einsum path —
     so the per-run body is only the irreducible numpy calls.  Weights
@@ -604,51 +710,32 @@ def _build_step(
     node = pn.node
     spec = node.layer
     x = inputs[0]
-    dtype = arena.dtype
-    extra_bytes = 0
-
-    post = None
-    post_scratch = None
-    if pn.act is not None:
-        post, needs_scratch = _act_post_op(pn.act.layer.fn)
-    else:
-        needs_scratch = False
+    dtype = alloc.arena.dtype
 
     def finish(out_shape, run_core):
-        """Acquire the output (and post-op scratch), wrap the post-op."""
-        nonlocal post_scratch, extra_bytes
-        slab, out = arena.acquire(out_shape)
-        if post is not None and needs_scratch:
-            sslab, post_scratch = arena.acquire(out_shape)
-            arena.release(sslab)  # live only inside this step
-            extra_bytes += post_scratch.nbytes
-        scratch = post_scratch
+        """Acquire the output (then post-op scratch), wrap the post-op."""
+        out = alloc.output(out_shape)
+        post, scratch = alloc.post_op(pn.act, out_shape)
         if post is None:
-            step = lambda: run_core(out)  # noqa: E731
-        else:
-            def step():
-                run_core(out)
-                post(out, scratch)
-        return step, (slab, out), extra_bytes
+            return lambda: run_core(out)
+
+        def step():
+            run_core(out)
+            post(out, scratch)
+        return step
 
     # ----------------------------------------------------------- conv-like
     if isinstance(spec, _FOLDABLE) and not isinstance(spec, ir.Linear):
-        module = executor.module_for(node.name)
-        w4, bias, stride_hw, padding, groups = _conv_geometry(module, node)
-        override = transform.weights.get(node.name)
-        if override is not None:
-            w4, bias = override
-        elif pn.bn is not None:
-            bn_module = executor.module_for(pn.bn.name)
-            w4, bias = _fold_bn_into(w4, bias, bn_module)
+        w4, bias = transform.weight_for(node)
+        _, _, stride_hw, padding, groups = _conv_geometry(
+            executor.module_for(node.name), node)
         out_shape, pads = _conv_out_shape(x.shape, w4, stride_hw, padding, groups)
         top, bottom, left, right = pads
         pad_buf = None
         if any(pads):
             nb, cb, h, w = x.shape
-            pad_buf = arena.dedicate(np.zeros(
+            pad_buf = alloc.dedicate(np.zeros(
                 (nb, cb, h + top + bottom, w + left + right), dtype=dtype))
-            extra_bytes += pad_buf.nbytes
         # Constant-fold the contraction order (identical to what the
         # kernel's optimize=True would pick per call).  Mirror the
         # depthwise/grouped branch of :func:`conv2d_infer`.
@@ -677,16 +764,10 @@ def _build_step(
                 else bias[drop].astype(dtype, copy=True)
             path = np.einsum_path("nchw,oc->nohw", x, w_live,
                                   optimize=True)[0]
-            slab, out = arena.acquire(out_shape)
-            sslab, scratch = arena.acquire(
-                (out_shape[0], len(live)) + out_shape[2:])
-            arena.release(sslab)  # live only inside this step
-            extra_bytes += scratch.nbytes
-            pscr = None
-            if post is not None and needs_scratch:
-                pslab, pscr = arena.acquire(out_shape)
-                arena.release(pslab)
-                extra_bytes += pscr.nbytes
+            out = alloc.output(out_shape)
+            scratch = alloc.scratch((out_shape[0], len(live)) + out_shape[2:])
+            alloc.close()  # the post-op scratch may reuse it: they run in turn
+            post, pscr = alloc.post_op(pn.act, out_shape)
 
             def step(x=x, w_live=w_live, bias_live=bias_live, live=live,
                      drop=drop, fill=fill, scratch=scratch, out=out,
@@ -697,7 +778,7 @@ def _build_step(
                 if post is not None:
                     post(out, pscr)
 
-            return step, (slab, out), extra_bytes
+            return step
         if groups == 1 and kh == kw == 1 and sh == sw == 1 and xp is x:
             path = np.einsum_path(
                 "nchw,oc->nohw", x, w4.reshape(c_out, c_in),
@@ -731,32 +812,20 @@ def _build_step(
 
     # -------------------------------------------------------------- linear
     if isinstance(spec, ir.Linear):
-        module = executor.module_for(node.name)
-        weight = module.weight.data
-        bias = module.bias.data if module.bias is not None else None
-        override = transform.weights.get(node.name)
-        if override is not None:
-            weight, bias = override
-        elif pn.bn is not None:
-            bn_module = executor.module_for(pn.bn.name)
-            weight, bias = _fold_bn_into(weight, bias, bn_module)
+        weight, bias = transform.weight_for(node)
         wt = weight.T
-        out_shape = (n, weight.shape[0])
 
         def run_core(out, x=x, wt=wt, bias=bias):
             np.matmul(x, wt, out=out)
             if bias is not None:
                 np.add(out, bias, out=out)
 
-        return finish(out_shape, run_core)
+        return finish((n, weight.shape[0]), run_core)
 
     # ---------------------------------------------------------- batch norm
     if isinstance(spec, ir.BatchNorm):
-        module: BatchNorm2d = executor.module_for(node.name)
         if config.constant_fold:
-            const = transform.constants.get(node.name)
-            scale, shift = const if const is not None \
-                else module.inference_scale_shift()
+            scale, shift = transform.constants[node.name]
             view = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
             scale_v = scale.reshape(view).astype(dtype)
             shift_v = shift.reshape(view).astype(dtype)
@@ -765,6 +834,7 @@ def _build_step(
                 np.multiply(x, scale_v, out=out)
                 np.add(out, shift_v, out=out)
         else:
+            module: BatchNorm2d = executor.module_for(node.name)
             gamma, beta = module.gamma.data, module.beta.data
             rm, rv, eps = module.running_mean, module.running_var, module.eps
 
@@ -848,10 +918,9 @@ def _build_step(
                                                 spec.padding)
         pad_buf = None
         if top or bottom or left or right:
-            pad_buf = arena.dedicate(np.full(
+            pad_buf = alloc.dedicate(np.full(
                 (nb, cb, h + top + bottom, w + left + right), -np.inf,
                 dtype=dtype))
-            extra_bytes += pad_buf.nbytes
         out_shape = (nb, cb,
                      (h + top + bottom - kh) // sh + 1,
                      (w + left + right - kw) // sw + 1)
@@ -885,34 +954,32 @@ def _build_step(
 
 # ------------------------------------------------------------- int8 plan
 #
-# The quantized plan (``CompileConfig.int8()``) is a separate builder
-# sharing the fuse pass, geometry helpers and arena with the float one.
-# Differences:
+# The quantized plan (``CompileConfig.int8()``) shares the driver, the
+# fuse passes, the geometry helpers, the arena and the float op table
+# with the float flavors.  What it adds:
 #
 # * **channels-last** — int8 buffers are NHWC internally; contiguous
 #   channel-axis passes make the depthwise tap loop ~2.7x faster than
 #   the float plan's NCHW windowed einsum (the input is transposed and
 #   quantized once at the top, the output converted back at the bottom);
 # * **per-node representation** — every produced buffer is either int8
-#   codes with a scale (symmetric, zero-point 0) or plain float; ops
-#   with integer kernels consume/produce codes, everything else falls
-#   back to float *per op* (``PlanStats.int8_fallbacks``, surfaced as
-#   the ``runtime.int8_fallbacks`` gauge);
+#   codes with a scale (symmetric, zero-point 0) or plain float;
+#   :func:`_build_int8_step` holds the integer kernels, and every op
+#   without one — or whose inputs are not all codes — runs the float op
+#   table through :func:`_float_fallback` (``PlanStats.int8_fallbacks``,
+#   surfaced as the ``runtime.int8_fallbacks`` gauge);
 # * **requantize fused at op boundaries** — each integer GEMM rescales
 #   its int32-valued accumulator straight to the consumer's grid, with
 #   ReLU/ReLU6 folded into the clip bounds and curved activations
-#   (h-swish & friends) applied as a single 256-entry LUT gather;
-# * **float head** — the final Linear (the logits producer) stays in
-#   float, standard PTQ practice that protects top-1 agreement.
+#   (h-swish & friends) applied analytically before the one rounding;
+#   only a standalone activation on codes is a 256-entry LUT gather;
+# * **float head** — Linear layers (the logits producer) stay in float,
+#   standard PTQ practice that protects top-1 agreement.
 #
 # Calibration runs a float plan of identical fuse structure (BN folded,
 # activations *not* fused, so both pre- and post-activation ranges are
 # observed) over a few seeded standard-normal batches — the same
 # distribution serving inputs are drawn from (``make_input``).
-
-#: Activations requantized through a 256-entry LUT (the rest fold into
-#: the requantize clip bounds).
-_INT8_LUT_ACTS = ("hswish", "hsigmoid", "sigmoid", "swish")
 
 
 @dataclass
@@ -924,29 +991,42 @@ class _Repr:
     name: str = ""      # producing step's out_name (range lookup)
 
 
-def _scale_for(amax: Dict[str, float], name: str, levels: int) -> float:
+def _scale_for(amax: Dict[str, float], name: str) -> float:
     a = amax.get(name, 0.0)
-    return a / levels if a > 0 else 1.0
+    return a / _LEVELS if a > 0 else 1.0
 
 
-def _act_requant(act: Optional[Node], s_out: float, levels: int):
-    """(direct, low, high, post) of a fused activation at requantize time.
+def _requant(src, acc, out, m, b, low, high,
+             post=None, post_scr=None, inv_out=1.0):
+    """Closure: requantize ``src`` into int8 ``out`` through float ``acc``.
 
-    ``direct`` activations (none / ReLU / ReLU6) fold entirely into the
-    requantize clip bounds — a single rounding straight to the output
-    grid.  Curved activations (h-swish & friends) return their float
-    post-op instead: the accumulator is rescaled to the *value* domain,
-    the activation applied analytically, then rounded once to the output
-    grid — no intermediate 8-bit rounding.
+    Direct path (``post is None``): ``m``/``b`` already target the
+    output grid — ``out = clip(rint(src·m + b))``, one rounding.
+    Curved path: ``m``/``b`` target the *value* domain; the float
+    activation ``post`` runs analytically on the exact accumulator,
+    then one rounding onto the output grid (``× inv_out``).
     """
-    if act is None:
-        return True, -levels, levels, None
-    fn = act.layer.fn
-    if fn == "relu":
-        return True, 0, levels, None
-    if fn == "relu6":
-        return True, 0, min(levels, int(round(6.0 / s_out))), None
-    return False, -levels, levels, _act_post_op(fn)
+    if post is None:
+        def run(src=src, acc=acc, m=m, b=b, low=low, high=high, out=out):
+            np.multiply(src, m, out=acc)
+            if b is not None:
+                np.add(acc, b, out=acc)
+            np.rint(acc, out=acc)
+            np.clip(acc, low, high, out=acc)
+            np.copyto(out, acc, casting="unsafe")
+    else:
+        def run(src=src, acc=acc, m=m, b=b, low=low, high=high,
+                post=post, ps=post_scr, inv=inv_out, out=out):
+            np.multiply(src, m, out=acc)
+            if b is not None:
+                np.add(acc, b, out=acc)
+            post(acc, ps)
+            np.multiply(acc, inv, out=acc)
+            np.rint(acc, out=acc)
+            np.clip(acc, low, high, out=acc)
+            np.copyto(out, acc, casting="unsafe")
+    return run
+
 
 def _calibrate_activations(
     executor, network: Network, input_shape: Tuple[int, ...],
@@ -962,8 +1042,7 @@ def _calibrate_activations(
     ranges match the pruned weights the int8 plan actually executes.
     """
     calib_config = CompileConfig(fold_bn=config.fold_bn,
-                                 fuse_activations=False,
-                                 constant_fold=True, arena=config.arena)
+                                 fuse_activations=False, constant_fold=True)
     if config.calibration_data is not None:
         batches = [np.asarray(b, dtype=np.float32)
                    for b in config.calibration_data]
@@ -980,12 +1059,10 @@ def _calibrate_activations(
                 f"plan input is {tuple(input_shape)} (C, H, W must match)")
         calib_shape = batches[0].shape
     else:
-        rng = np.random.default_rng(config.calibration_seed)
+        rng = np.random.default_rng(CALIBRATION_SEED)
         calib_shape = input_shape
-        batches = [
-            rng.standard_normal(input_shape).astype(np.float32)
-            for _ in range(max(1, config.calibration_batches))
-        ]
+        batches = [rng.standard_normal(input_shape).astype(np.float32)
+                   for _ in range(CALIBRATION_BATCHES)]
     calib_tf = Pipeline.from_config(calib_config).run(
         executor, network, calib_shape, calib_config)
     if transform is not None:
@@ -996,274 +1073,106 @@ def _calibrate_activations(
     return {name: obs.amax for name, obs in observers.items()}
 
 
-def _build_int8_plan(
-    executor, network: Network, input_shape: Tuple[int, ...],
-    config: CompileConfig, transform: Transform,
-) -> InferencePlan:
-    if not 2 <= config.quantize_bits <= 8:
-        raise NotImplementedError(
-            f"int8 plans support quantize_bits in [2, 8], "
-            f"got {config.quantize_bits}")
-    levels = 2 ** (config.quantize_bits - 1) - 1
-    amax = transform.amax
-    if amax is None:  # pipeline ran without the quantize pass
-        amax = _calibrate_activations(executor, network, input_shape, config,
-                                      transform)
+def _float_fallback(
+    executor, pn: _PlanNode, entries, alloc: _StepAlloc,
+    config: CompileConfig, n: int, transform: Transform,
+) -> Callable[[], None]:
+    """An int8-plan step without an integer kernel: the float op table.
 
-    n = input_shape[0]
-    plan_nodes = transform.plan_nodes
-    produced_by: Dict[str, int] = {}
-    for i, pn in enumerate(plan_nodes):
-        for part in (pn.node, pn.bn, pn.act):
-            if part is not None:
-                produced_by[part.name] = i
+    Int8 codes are dequantized, and NHWC float maps copied, into NCHW
+    float scratch (2-d float inputs are read in place); the float op
+    (:func:`_build_step`) runs in the eager layout, and a 4-d result is
+    transposed into the step's NHWC float output.
+    """
+    inputs, preps = [], []
+    for view, rep in entries:
+        if rep.kind == "f32" and view.ndim == 2:
+            inputs.append(view)
+            continue
+        src = view.transpose(0, 3, 1, 2) if view.ndim == 4 else view
+        buf = alloc.scratch(src.shape, np.float32)
+        preps.append((src, buf, rep.scale))  # a float buffer has scale 1
+        inputs.append(buf)
+    run_op = _build_step(executor, pn, inputs, alloc, config, n, transform)
+    out_f = alloc.out
+    if out_f.ndim == 4:
+        alloc.output(out_f.transpose(0, 2, 3, 1).shape, np.float32)
+    elif not preps:
+        return run_op
 
-    refs = [0] * len(plan_nodes)
-    input_refs = 0
-    for pn in plan_nodes:
-        if not pn.node.inputs:
-            input_refs += 1
-        for src in pn.node.inputs:
-            refs[produced_by[src]] += 1
-    refs[len(plan_nodes) - 1] += 1
+    def step(preps=tuple(preps), run_op=run_op, out_f=out_f, out=alloc.out):
+        for src, buf, scale in preps:
+            np.multiply(src, scale, out=buf)
+        run_op()
+        if out is not out_f:
+            np.copyto(out, out_f.transpose(0, 2, 3, 1))
 
-    arena = _Arena(np.float32, enabled=config.arena)
-    input_view = arena.dedicate(np.zeros(input_shape, dtype=np.float32))
-    naive_bytes = input_view.nbytes
-    steps: List[Callable[[], None]] = []
-    labels: List[str] = []
-    step_names: List[str] = []
-    step_views: List[np.ndarray] = []
-    folded = fused = int8_ops = fallbacks = 0
+    return step
 
-    # Implicit first step: quantize + transpose the float NCHW input into
-    # int8 NHWC codes (one fused multiply/round/cast pass).
-    nb, c_in, h_in, w_in = input_shape
-    s_input = _scale_for(amax, "__input__", levels)
-    q_in_slab, q_in = arena.acquire((nb, h_in, w_in, c_in), np.int8)
-    scr_slab, scr = arena.acquire((nb, h_in, w_in, c_in), np.float32)
-    arena.release(scr_slab)
-    naive_bytes += q_in.nbytes + scr.nbytes
-
-    def quantize_input(src=input_view, scr=scr, out=q_in,
-                       inv=1.0 / s_input, lv=levels):
-        np.multiply(src.transpose(0, 2, 3, 1), inv, out=scr)
-        np.rint(scr, out=scr)
-        np.clip(scr, -lv, lv, out=scr)
-        np.copyto(out, scr, casting="unsafe")
-
-    steps.append(quantize_input)
-    labels.append("QuantizeInput")
-    step_names.append("__input__")
-    step_views.append(q_in)
-    int8_ops += 1
-
-    buffers: List[Optional[Tuple[np.ndarray, np.ndarray]]] = \
-        [None] * len(plan_nodes)
-    reprs: List[Optional[_Repr]] = [None] * len(plan_nodes)
-    input_entry = (q_in, _Repr("i8", s_input, "__input__"))
-
-    def in_entries(pn: _PlanNode):
-        if not pn.node.inputs:
-            return [input_entry]
-        return [
-            (buffers[produced_by[src]][1], reprs[produced_by[src]])
-            for src in pn.node.inputs
-        ]
-
-    for idx, pn in enumerate(plan_nodes):
-        entries = in_entries(pn)
-        step, out_entry, out_repr, extra_bytes, native = _build_int8_step(
-            executor, pn, entries, arena, config, n, amax, levels,
-            is_last=(idx == len(plan_nodes) - 1), transform=transform,
-        )
-        buffers[idx] = out_entry
-        reprs[idx] = out_repr
-        naive_bytes += out_entry[1].nbytes + extra_bytes
-        steps.append(step)
-        labels.append(pn.label + (":int8" if native else ":float"))
-        step_names.append(pn.out_name)
-        step_views.append(out_entry[1])
-        folded += pn.bn is not None
-        fused += pn.act is not None
-        int8_ops += native
-        fallbacks += not native
-        if not pn.node.inputs:
-            input_refs -= 1
-            if input_refs == 0:
-                arena.release(q_in_slab)
-        for src in pn.node.inputs:
-            j = produced_by[src]
-            refs[j] -= 1
-            if refs[j] == 0 and buffers[j] is not None:
-                arena.release(buffers[j][0])
-
-    # Implicit last step: hand back float in the eager layout.
-    last_view = buffers[-1][1]
-    last_repr = reprs[-1]
-    if last_repr.kind == "i8" or last_view.ndim == 4:
-        if last_view.ndim == 4:
-            nb2, h2, w2, c2 = last_view.shape
-            out_shape = (nb2, c2, h2, w2)
-        else:
-            out_shape = last_view.shape
-        out_slab, final_out = arena.acquire(out_shape, np.float32)
-        naive_bytes += final_out.nbytes
-        src4 = last_view.transpose(0, 3, 1, 2) if last_view.ndim == 4 \
-            else last_view
-        if last_repr.kind == "i8":
-            def finalize(src=src4, out=final_out, s=last_repr.scale):
-                np.multiply(src, s, out=out)
-        else:
-            def finalize(src=src4, out=final_out):
-                np.copyto(out, src)
-        steps.append(finalize)
-        labels.append("Dequantize")
-        step_names.append("__output__")
-        step_views.append(final_out)
-        int8_ops += last_repr.kind == "i8"
-        output_view = final_out
-    else:
-        output_view = last_view
-
-    stats = PlanStats(
-        network=network.name,
-        batch=n,
-        input_shape=input_shape,
-        nodes=len(network),
-        ops=len(steps),
-        folded_bn=folded,
-        fused_activations=fused,
-        arena_bytes=arena.total_bytes + input_view.nbytes,
-        pooled_bytes=arena.pooled_bytes,
-        naive_bytes=naive_bytes,
-        int8_ops=int8_ops,
-        int8_fallbacks=fallbacks,
-    )
-    _log.info(
-        "built int8 plan", network=network.name, batch=n,
-        int8_ops=int8_ops, fallbacks=fallbacks,
-        arena_kib=f"{stats.arena_bytes / 1024:.0f}",
-    )
-    return InferencePlan(
-        name=network.name, config=config, input_view=input_view,
-        output_view=output_view, steps=steps, labels=labels, stats=stats,
-        step_names=step_names, step_views=step_views,
-    )
 
 def _build_int8_step(
-    executor, pn: _PlanNode, entries, arena: _Arena, config: CompileConfig,
-    n: int, amax: Dict[str, float], levels: int, is_last: bool,
+    executor, pn: _PlanNode, entries, alloc: _StepAlloc,
     transform: Transform,
-):
-    """One int8 plan step.
+) -> Optional[Tuple[Callable[[], None], _Repr]]:
+    """One int8 plan step through its integer kernel: ``(closure, out
+    repr)``, or ``None`` — before acquiring anything — when the op has no
+    integer kernel or its inputs are not all int8 codes (conv-like ops
+    quantize a float input on the fly instead).
 
-    Returns ``(closure, (slab, out_view), out_repr, extra_bytes,
-    int8_native)``.  Scratch slabs are acquired before the output buffer
-    and released together at the end (so no two buffers of this step
-    alias), then recycled by later steps — safe because a scratch is
-    only written while its own step runs.
+    Scratch is acquired before the output buffer.
     """
     node = pn.node
     spec = node.layer
-    bits = config.quantize_bits
+    amax = transform.amax
     x_view, x_repr = entries[0]
-    extra = 0
-    scratch_slabs: List[np.ndarray] = []
-
-    def take(shape, dtype):
-        nonlocal extra
-        slab, view = arena.acquire(shape, dtype)
-        scratch_slabs.append(slab)
-        extra += view.nbytes
-        return view
-
-    def done(step, out_entry, out_repr, native):
-        for slab in scratch_slabs:
-            arena.release(slab)
-        return step, out_entry, out_repr, extra, native
+    codes = all(rep.kind == "i8" for _, rep in entries)
 
     def as_codes(view, rep):
         """(prep, codes, scale): quantize a float input on the fly."""
         if rep.kind == "i8":
             return None, view, rep.scale
-        s = _scale_for(amax, rep.name, levels)
-        qv = take(view.shape, np.int8)
-        fv = take(view.shape, np.float32)
+        s = _scale_for(amax, rep.name)
+        qv = alloc.scratch(view.shape, np.int8)
+        fv = alloc.scratch(view.shape, np.float32)
+        return _requant(view, fv, qv, 1.0 / s, None, -_LEVELS, _LEVELS), qv, s
 
-        def prep(view=view, qv=qv, fv=fv, inv=1.0 / s, lv=levels):
-            np.multiply(view, inv, out=fv)
-            np.rint(fv, out=fv)
-            np.clip(fv, -lv, lv, out=fv)
-            np.copyto(qv, fv, casting="unsafe")
+    def boundary(s_out, acc):
+        """(target, low, high, post, post_scr) of the fused activation.
 
-        return prep, qv, s
-
-    def requant_into(src, acc, m, b, low, high, out,
-                     post=None, post_scr=None, inv_out=1.0):
-        """Closure: requantize ``src`` into int8 ``out``.
-
-        Direct path (``post is None``): ``m``/``b`` already target the
-        output grid — ``out = clip(rint(src·m + b))``, one rounding.
-        Curved path: ``m``/``b`` target the *value* domain; the float
-        activation ``post`` runs analytically on the exact accumulator,
-        then one rounding onto the output grid (``× inv_out``).
+        ``direct`` activations (none / ReLU / ReLU6) fold entirely into
+        the requantize clip bounds — a single rounding straight to the
+        output grid (``target = s_out``).  Curved ones (h-swish &
+        friends) keep the accumulator in the value domain (``target =
+        1``) for their analytic float post-op, then round once onto the
+        output grid — no intermediate 8-bit rounding.
         """
-        if post is None:
-            def run(src=src, acc=acc, m=m, b=b, low=low, high=high, out=out):
-                np.multiply(src, m, out=acc)
-                if b is not None:
-                    np.add(acc, b, out=acc)
-                np.rint(acc, out=acc)
-                np.clip(acc, low, high, out=acc)
-                np.copyto(out, acc, casting="unsafe")
-        else:
-            def run(src=src, acc=acc, m=m, b=b, low=low, high=high,
-                    post=post, ps=post_scr, inv=inv_out, out=out):
-                np.multiply(src, m, out=acc)
-                if b is not None:
-                    np.add(acc, b, out=acc)
-                post(acc, ps)
-                np.multiply(acc, inv, out=acc)
-                np.rint(acc, out=acc)
-                np.clip(acc, low, high, out=acc)
-                np.copyto(out, acc, casting="unsafe")
-        return run
+        fn = None if pn.act is None else pn.act.layer.fn
+        if fn is None:
+            return s_out, -_LEVELS, _LEVELS, None, None
+        if fn == "relu":
+            return s_out, 0, _LEVELS, None, None
+        if fn == "relu6":
+            return s_out, 0, min(_LEVELS, int(round(6.0 / s_out))), None, None
+        post, post_scr = alloc.post_op(pn.act, acc.shape, acc.dtype)
+        return 1.0, -_LEVELS, _LEVELS, post, post_scr
 
-    def requant_params(s_in, sw_vec, bias, s_out, acc_shape, acc_dtype):
-        """(m_row, b_row, low, high, post, post_scr) for one GEMM boundary.
-
-        Direct activations fold into the multiplier and clip bounds;
-        curved ones keep the accumulator in the value domain (multiplier
-        ``s_in·s_w``, real bias) for the analytic float post-op.
-        """
-        direct, low, high, post = _act_requant(pn.act, s_out, levels)
-        target = s_out if direct else 1.0
+    def requant_params(s_in, sw_vec, bias, s_out, acc):
+        """``_requant`` arguments after ``out`` for one GEMM boundary."""
+        target, low, high, post, post_scr = boundary(s_out, acc)
         m_row = (s_in * np.asarray(sw_vec, np.float64) / target) \
             .astype(np.float32)
         b_row = None if bias is None else \
             (np.asarray(bias, np.float64) / target).astype(np.float32)
-        post_scr = None
-        if post is not None:
-            post_fn, needs_scratch = post
-            if needs_scratch:
-                post_scr = take(acc_shape, acc_dtype)
-            post = post_fn
-        return m_row, b_row, low, high, post, post_scr
+        return m_row, b_row, low, high, post, post_scr, 1.0 / s_out
 
     # ----------------------------------------------------------- conv-like
     if isinstance(spec, _FOLDABLE) and not isinstance(spec, ir.Linear):
-        module = executor.module_for(node.name)
-        w4, bias, stride_hw, padding, groups = _conv_geometry(module, node)
-        override = transform.weights.get(node.name)
-        if override is not None:
-            w4, bias = override
-        elif pn.bn is not None:
-            w4, bias = _fold_bn_into(
-                w4, bias, executor.module_for(pn.bn.name))
+        w4, bias = transform.weight_for(node)
+        _, _, stride_hw, padding, groups = _conv_geometry(
+            executor.module_for(node.name), node)
         nb, h, w, c = x_view.shape
-        nchw = (nb, c, h, w)
-        out_nchw, pads = _conv_out_shape(nchw, w4, stride_hw, padding, groups)
+        out_nchw, pads = _conv_out_shape((nb, c, h, w), w4, stride_hw,
+                                         padding, groups)
         _, c_out, oh, ow = out_nchw
         top, bottom, left, right = pads
         c_g, kh, kw = w4.shape[1], w4.shape[2], w4.shape[3]
@@ -1272,233 +1181,129 @@ def _build_int8_step(
 
         depthwise = groups == c and c_g == 1
         pointwise = groups == 1 and kh == kw == 1 and not any(pads)
-        dense = groups == 1
+        if not (depthwise or groups == 1):
+            return None  # grouped conv: no integer kernel
+        prep, xq, s_in = as_codes(x_view, x_repr)
+        s_out = _scale_for(amax, pn.out_name)
+        wq, sw_vec = quantize_weights(w4, bits=QUANTIZE_BITS, axis=0)
+        rep = _Repr("i8", s_out, pn.out_name)
 
-        if depthwise or pointwise or dense:
-            prep, xq, s_in = as_codes(x_view, x_repr)
-            s_out = _scale_for(amax, pn.out_name, levels)
-            wq, sw_vec = quantize_weights(w4, bits=bits, axis=0)
-
-            if depthwise:
-                w_lanes = wq.reshape(c, kh, kw).transpose(1, 2, 0) \
-                    .astype(np.float32)
-                pad_buf = None
-                if any(pads):
-                    pad_buf = arena.dedicate(np.zeros(
-                        (nb, h + top + bottom, w + left + right, c),
-                        dtype=np.int8))
-                    extra += pad_buf.nbytes
-                acc = take(out_shape, np.float32)
-                tap = take(out_shape, np.float32)
-                m_row, b_row, low, high, post, post_scr = requant_params(
-                    s_in, sw_vec, bias, s_out, out_shape, np.float32)
-                slab, out = arena.acquire(out_shape, np.int8)
-                req = requant_into(acc, acc, m_row, b_row, low, high, out,
-                                   post, post_scr, 1.0 / s_out)
-
-                def step(prep=prep, xq=xq, pad_buf=pad_buf, top=top,
-                         left=left, h=h, w=w, w_lanes=w_lanes,
-                         stride=(sh, sw), acc=acc, tap=tap, req=req):
-                    if prep is not None:
-                        prep()
-                    if pad_buf is not None:
-                        np.copyto(pad_buf[:, top:top + h, left:left + w, :],
-                                  xq)
-                        xp = pad_buf
-                    else:
-                        xp = xq
-                    F.depthwise_int8_nhwc(xp, w_lanes, stride, out=acc,
-                                          scratch=tap)
-                    req()
-
-                return done(step, (slab, out),
-                            _Repr("i8", s_out, pn.out_name), True)
-
-            if pointwise:
-                lane_dt = np.float32 if c <= F.INT8_EXACT_MAX_K \
-                    else np.float64
-                w_lanes = wq.reshape(c_out, c).T.astype(lane_dt)
-                m_total = nb * oh * ow
-                x_lanes = take((nb, oh, ow, c), lane_dt)
-                acc = take((m_total, c_out), lane_dt)
-                m_row, b_row, low, high, post, post_scr = requant_params(
-                    s_in, sw_vec, bias, s_out, (m_total, c_out), lane_dt)
-                slab, out = arena.acquire(out_shape, np.int8)
-                out2d = out.reshape(m_total, c_out)
-                src = xq if sh == sw == 1 \
-                    else xq[:, :oh * sh:sh, :ow * sw:sw, :]
-                req = requant_into(acc, acc, m_row, b_row, low, high, out2d,
-                                   post, post_scr, 1.0 / s_out)
-
-                def step(prep=prep, src=src, x_lanes=x_lanes,
-                         w_lanes=w_lanes, acc=acc, req=req,
-                         m_total=m_total, c=c):
-                    if prep is not None:
-                        prep()
-                    np.copyto(x_lanes, src)
-                    np.matmul(x_lanes.reshape(m_total, c), w_lanes, out=acc)
-                    req()
-
-                return done(step, (slab, out),
-                            _Repr("i8", s_out, pn.out_name), True)
-
-            # dense conv: im2col int8 GEMM
-            k_depth = kh * kw * c
-            lane_dt = np.float32 if k_depth <= F.INT8_EXACT_MAX_K \
-                else np.float64
-            w_lanes = wq.transpose(2, 3, 1, 0).reshape(k_depth, c_out) \
-                .astype(lane_dt)
+        if depthwise:
+            w_lanes = wq.reshape(c, kh, kw).transpose(1, 2, 0) \
+                .astype(np.float32)
             pad_buf = None
-            xp_static = xq
             if any(pads):
-                pad_buf = arena.dedicate(np.zeros(
+                pad_buf = alloc.dedicate(np.zeros(
                     (nb, h + top + bottom, w + left + right, c),
                     dtype=np.int8))
-                extra += pad_buf.nbytes
-                xp_static = pad_buf
-            m_total = nb * oh * ow
-            cols = take((m_total, k_depth), lane_dt)
-            acc = take((m_total, c_out), lane_dt)
-            m_row, b_row, low, high, post, post_scr = requant_params(
-                s_in, sw_vec, bias, s_out, (m_total, c_out), lane_dt)
-            slab, out = arena.acquire(out_shape, np.int8)
-            out2d = out.reshape(m_total, c_out)
-            req = requant_into(acc, acc, m_row, b_row, low, high, out2d,
-                               post, post_scr, 1.0 / s_out)
+            acc = alloc.scratch(out_shape, np.float32)
+            tap = alloc.scratch(out_shape, np.float32)
+            params = requant_params(s_in, sw_vec, bias, s_out, acc)
+            req = _requant(acc, acc, alloc.output(out_shape, np.int8),
+                           *params)
 
-            def step(prep=prep, xq=xq, pad_buf=pad_buf, top=top, left=left,
-                     h=h, w=w, xp=xp_static, kh=kh, kw=kw, stride=(sh, sw),
-                     cols=cols, w_lanes=w_lanes, acc=acc, req=req):
+            def step(prep=prep, xq=xq, pad_buf=pad_buf, top=top,
+                     left=left, h=h, w=w, w_lanes=w_lanes,
+                     stride=(sh, sw), acc=acc, tap=tap, req=req):
                 if prep is not None:
                     prep()
                 if pad_buf is not None:
-                    np.copyto(pad_buf[:, top:top + h, left:left + w, :], xq)
-                F.im2col_int8_nhwc(xp, kh, kw, stride, out_cols=cols)
-                np.matmul(cols, w_lanes, out=acc)
+                    np.copyto(pad_buf[:, top:top + h, left:left + w, :],
+                              xq)
+                    xp = pad_buf
+                else:
+                    xp = xq
+                F.depthwise_int8_nhwc(xp, w_lanes, stride, out=acc,
+                                      scratch=tap)
                 req()
 
-            return done(step, (slab, out),
-                        _Repr("i8", s_out, pn.out_name), True)
+            return step, rep
 
-        # grouped conv without an integer kernel: per-op float fallback
-        # (dequantize → NCHW float conv → back to NHWC float).
-        x_f = take(nchw, np.float32)
-        out_f = take(out_nchw, np.float32)
-        post, needs_scratch = (None, False) if pn.act is None \
-            else _act_post_op(pn.act.layer.fn)
-        post_scr = take(out_nchw, np.float32) if needs_scratch else None
-        slab, out = arena.acquire(out_shape, np.float32)
+        m_total = nb * oh * ow
+        if pointwise:
+            lane_dt = np.float32 if c <= F.INT8_EXACT_MAX_K \
+                else np.float64
+            w_lanes = wq.reshape(c_out, c).T.astype(lane_dt)
+            x_lanes = alloc.scratch((nb, oh, ow, c), lane_dt)
+            acc = alloc.scratch((m_total, c_out), lane_dt)
+            params = requant_params(s_in, sw_vec, bias, s_out, acc)
+            out = alloc.output(out_shape, np.int8)
+            src = xq if sh == sw == 1 \
+                else xq[:, :oh * sh:sh, :ow * sw:sw, :]
+            req = _requant(acc, acc, out.reshape(m_total, c_out), *params)
 
-        def step(x_view=x_view, x_repr=x_repr, x_f=x_f, w4=w4, bias=bias,
-                 stride=stride_hw, padding=padding, groups=groups,
-                 out_f=out_f, post=post, post_scr=post_scr, out=out):
-            src = x_view.transpose(0, 3, 1, 2)
-            if x_repr.kind == "i8":
-                np.multiply(src, x_repr.scale, out=x_f)
-            else:
-                np.copyto(x_f, src)
-            F.conv2d_infer(x_f, w4, bias, stride, padding, groups, out=out_f)
-            if post is not None:
-                post(out_f, post_scr)
-            np.copyto(out, out_f.transpose(0, 2, 3, 1))
+            def step(prep=prep, src=src, x_lanes=x_lanes,
+                     w_lanes=w_lanes, acc=acc, req=req,
+                     m_total=m_total, c=c):
+                if prep is not None:
+                    prep()
+                np.copyto(x_lanes, src)
+                np.matmul(x_lanes.reshape(m_total, c), w_lanes, out=acc)
+                req()
 
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+            return step, rep
 
-    # -------------------------------------------------------------- linear
-    if isinstance(spec, ir.Linear):
-        module = executor.module_for(node.name)
-        weight = module.weight.data
-        bias = module.bias.data if module.bias is not None else None
-        override = transform.weights.get(node.name)
-        if override is not None:
-            weight, bias = override
-        elif pn.bn is not None:
-            weight, bias = _fold_bn_into(
-                weight, bias, executor.module_for(pn.bn.name))
-        c_out, k_depth = weight.shape
-        out_shape = (n, c_out)
+        # dense conv: im2col int8 GEMM
+        k_depth = kh * kw * c
+        lane_dt = np.float32 if k_depth <= F.INT8_EXACT_MAX_K \
+            else np.float64
+        w_lanes = wq.transpose(2, 3, 1, 0).reshape(k_depth, c_out) \
+            .astype(lane_dt)
+        pad_buf = None
+        xp_static = xq
+        if any(pads):
+            pad_buf = alloc.dedicate(np.zeros(
+                (nb, h + top + bottom, w + left + right, c),
+                dtype=np.int8))
+            xp_static = pad_buf
+        cols = alloc.scratch((m_total, k_depth), lane_dt)
+        acc = alloc.scratch((m_total, c_out), lane_dt)
+        params = requant_params(s_in, sw_vec, bias, s_out, acc)
+        out = alloc.output(out_shape, np.int8)
+        req = _requant(acc, acc, out.reshape(m_total, c_out), *params)
 
-        # Linear layers stay float: int8 buys them nothing here (the
-        # GEMM already runs on the same BLAS lanes either way) and the
-        # classifier head is where PTQ error hurts top-1 agreement the
-        # most.  Counted as fallback steps.
-        wt = weight.T.astype(np.float32)
-        post, needs_scratch = (None, False) if pn.act is None \
-            else _act_post_op(pn.act.layer.fn)
-        post_scr = take(out_shape, np.float32) if needs_scratch else None
-        x_f = take(x_view.shape, np.float32) \
-            if x_repr.kind == "i8" else None
-        slab, out = arena.acquire(out_shape, np.float32)
+        def step(prep=prep, xq=xq, pad_buf=pad_buf, top=top, left=left,
+                 h=h, w=w, xp=xp_static, kh=kh, kw=kw, stride=(sh, sw),
+                 cols=cols, w_lanes=w_lanes, acc=acc, req=req):
+            if prep is not None:
+                prep()
+            if pad_buf is not None:
+                np.copyto(pad_buf[:, top:top + h, left:left + w, :], xq)
+            F.im2col_int8_nhwc(xp, kh, kw, stride, out_cols=cols)
+            np.matmul(cols, w_lanes, out=acc)
+            req()
 
-        def step(x_view=x_view, x_repr=x_repr, x_f=x_f, wt=wt,
-                 bias=bias, out=out, post=post, post_scr=post_scr):
-            if x_f is not None:
-                np.multiply(x_view, x_repr.scale, out=x_f)
-                src = x_f
-            else:
-                src = x_view
-            np.matmul(src, wt, out=out)
-            if bias is not None:
-                np.add(out, bias, out=out)
-            if post is not None:
-                post(out, post_scr)
+        return step, rep
 
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+    # Linear layers stay float: int8 buys them nothing here (the GEMM
+    # already runs on the same BLAS lanes either way) and the classifier
+    # head is where PTQ error hurts top-1 agreement the most.  Every
+    # other kernel below works on int8 codes only.
+    if isinstance(spec, ir.Linear) or not codes:
+        return None
+    s_in = x_repr.scale
 
     # ---------------------------------------------------------- batch norm
     if isinstance(spec, ir.BatchNorm):
-        module = executor.module_for(node.name)
-        scale, shift = module.inference_scale_shift()
-        if x_repr.kind == "i8":
-            s_in = x_repr.scale
-            s_out = _scale_for(amax, pn.out_name, levels)
-            acc = take(x_view.shape, np.float32)
-            m_row, b_row, low, high, post, post_scr = requant_params(
-                s_in, scale, shift, s_out, x_view.shape, np.float32)
-            slab, out = arena.acquire(x_view.shape, np.int8)
-            req = requant_into(x_view, acc, m_row, b_row, low, high, out,
-                               post, post_scr, 1.0 / s_out)
-            return done(req, (slab, out),
-                        _Repr("i8", s_out, pn.out_name), True)
-
-        post, needs_scratch = (None, False) if pn.act is None \
-            else _act_post_op(pn.act.layer.fn)
-        post_scr = take(x_view.shape, np.float32) if needs_scratch else None
-        scale_row = scale.astype(np.float32)
-        shift_row = shift.astype(np.float32)
-        slab, out = arena.acquire(x_view.shape, np.float32)
-
-        def step(x=x_view, scale_row=scale_row, shift_row=shift_row,
-                 out=out, post=post, post_scr=post_scr):
-            np.multiply(x, scale_row, out=out)
-            np.add(out, shift_row, out=out)
-            if post is not None:
-                post(out, post_scr)
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        scale, shift = executor.module_for(node.name).inference_scale_shift()
+        s_out = _scale_for(amax, pn.out_name)
+        acc = alloc.scratch(x_view.shape, np.float32)
+        params = requant_params(s_in, scale, shift, s_out, acc)
+        out = alloc.output(x_view.shape, np.int8)
+        return _requant(x_view, acc, out, *params), \
+            _Repr("i8", s_out, pn.out_name)
 
     # ---------------------------------------------------------- activation
     if isinstance(spec, ir.Activation):
-        if x_repr.kind == "i8":
-            s_out = _scale_for(amax, pn.out_name, levels)
-            lut = lut_uint8_order(activation_lut(
-                F.ACTIVATIONS_INFER[spec.fn], x_repr.scale, s_out, bits))
-            slab, out = arena.acquire(x_view.shape, np.int8)
+        s_out = _scale_for(amax, pn.out_name)
+        lut = lut_uint8_order(activation_lut(
+            F.ACTIVATIONS_INFER[spec.fn], s_in, s_out, QUANTIZE_BITS))
+        out = alloc.output(x_view.shape, np.int8)
 
-            def step(x=x_view, lut=lut, out=out):
-                np.take(lut, x.reshape(-1).view(np.uint8),
-                        out=out.reshape(-1))
+        def step(x=x_view, lut=lut, out=out):
+            np.take(lut, x.reshape(-1).view(np.uint8), out=out.reshape(-1))
 
-            return done(step, (slab, out),
-                        _Repr("i8", s_out, pn.out_name), True)
-
-        fn = F.ACTIVATIONS_INFER[spec.fn]
-        slab, out = arena.acquire(x_view.shape, np.float32)
-
-        def step(x=x_view, fn=fn, out=out):
-            np.copyto(out, fn(x))
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return step, _Repr("i8", s_out, pn.out_name)
 
     # ------------------------------------------------------ squeeze-excite
     if isinstance(spec, ir.SqueezeExcite):
@@ -1506,224 +1311,108 @@ def _build_int8_step(
         w1, b1 = module.fc1.weight.data, module.fc1.bias.data
         w2, b2 = module.fc2.weight.data, module.fc2.bias.data
         nb, h, w, c = x_view.shape
-        hid = w1.shape[0]
-        pool = take((nb, c), np.float32)
-        hidden = take((nb, hid), np.float32)
-        gate = take((nb, c), np.float32)
-        scr = take(x_view.shape, np.float32)
+        pool = alloc.scratch((nb, c), np.float32)
+        hidden = alloc.scratch((nb, w1.shape[0]), np.float32)
+        gate = alloc.scratch((nb, c), np.float32)
+        scr = alloc.scratch(x_view.shape, np.float32)
+        out = alloc.output(x_view.shape, np.int8)
 
-        if x_repr.kind == "i8":
-            s_in = x_repr.scale
-            slab, out = arena.acquire(x_view.shape, np.int8)
-
-            def step(xq=x_view, pool=pool, hidden=hidden, gate=gate,
-                     scr=scr, out=out, w1=w1, b1=b1, w2=w2, b2=b2,
-                     mean_scale=s_in / (h * w)):
-                # Gate computed in float from dequantized channel means;
-                # output keeps the input scale, so the excite multiply
-                # stays on the codes (gate ∈ [0, 1] cannot overflow).
-                np.sum(xq, axis=(1, 2), out=pool)
-                np.multiply(pool, mean_scale, out=pool)
-                F.linear_infer(pool, w1, b1, out=hidden)
-                np.maximum(hidden, 0.0, out=hidden)
-                F.linear_infer(hidden, w2, b2, out=gate)
-                np.add(gate, 3.0, out=gate)
-                np.clip(gate, 0.0, 6.0, out=gate)
-                np.multiply(gate, 1.0 / 6.0, out=gate)
-                np.multiply(xq, gate[:, None, None, :], out=scr)
-                np.rint(scr, out=scr)
-                np.copyto(out, scr, casting="unsafe")
-
-            return done(step, (slab, out),
-                        _Repr("i8", s_in, pn.out_name), True)
-
-        slab, out = arena.acquire(x_view.shape, np.float32)
-
-        def step(x=x_view, pool=pool, hidden=hidden, gate=gate, out=out,
-                 w1=w1, b1=b1, w2=w2, b2=b2, inv_hw=1.0 / (h * w)):
-            np.sum(x, axis=(1, 2), out=pool)
-            np.multiply(pool, inv_hw, out=pool)
+        def step(xq=x_view, pool=pool, hidden=hidden, gate=gate,
+                 scr=scr, out=out, w1=w1, b1=b1, w2=w2, b2=b2,
+                 mean_scale=s_in / (h * w)):
+            # Gate computed in float from dequantized channel means;
+            # output keeps the input scale, so the excite multiply
+            # stays on the codes (gate ∈ [0, 1] cannot overflow).
+            np.sum(xq, axis=(1, 2), out=pool)
+            np.multiply(pool, mean_scale, out=pool)
             F.linear_infer(pool, w1, b1, out=hidden)
             np.maximum(hidden, 0.0, out=hidden)
             F.linear_infer(hidden, w2, b2, out=gate)
             np.add(gate, 3.0, out=gate)
             np.clip(gate, 0.0, 6.0, out=gate)
             np.multiply(gate, 1.0 / 6.0, out=gate)
-            np.multiply(x, gate[:, None, None, :], out=out)
+            np.multiply(xq, gate[:, None, None, :], out=scr)
+            np.rint(scr, out=scr)
+            np.copyto(out, scr, casting="unsafe")
 
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return step, _Repr("i8", s_in, pn.out_name)
 
     # ------------------------------------------------------------ plumbing
     if isinstance(spec, ir.Add):
-        if all(rep.kind == "i8" for _, rep in entries):
-            s_out = _scale_for(amax, pn.out_name, levels)
-            direct, low, high, post = _act_requant(pn.act, s_out, levels)
-            target = s_out if direct else 1.0
-            factors = [rep.scale / target for _, rep in entries]
-            views = [v for v, _ in entries]
-            acc = take(x_view.shape, np.float32)
-            tmp = take(x_view.shape, np.float32)
-            post_scr = None
-            if post is not None:
-                post_fn, needs_scratch = post
-                if needs_scratch:
-                    post_scr = take(x_view.shape, np.float32)
-                post = post_fn
-            slab, out = arena.acquire(x_view.shape, np.int8)
+        s_out = _scale_for(amax, pn.out_name)
+        acc = alloc.scratch(x_view.shape, np.float32)
+        tmp = alloc.scratch(x_view.shape, np.float32)
+        target, low, high, post, post_scr = boundary(s_out, acc)
+        factors = [rep.scale / target for _, rep in entries]
+        views = [v for v, _ in entries]
+        out = alloc.output(x_view.shape, np.int8)
+        # Every addend but the first is summed into ``tmp`` (``acc`` is
+        # free until the requantize writes it), which the requantize
+        # adds to the first one as its bias.
+        req = _requant(views[0], acc, out, factors[0], tmp, low, high,
+                       post, post_scr, 1.0 / s_out)
 
-            if post is None:
-                def tail(acc=acc, low=low, high=high, out=out):
-                    np.rint(acc, out=acc)
-                    np.clip(acc, low, high, out=acc)
-                    np.copyto(out, acc, casting="unsafe")
-            else:
-                def tail(acc=acc, low=low, high=high, post=post,
-                         ps=post_scr, inv=1.0 / s_out, out=out):
-                    post(acc, ps)
-                    np.multiply(acc, inv, out=acc)
-                    np.rint(acc, out=acc)
-                    np.clip(acc, low, high, out=acc)
-                    np.copyto(out, acc, casting="unsafe")
+        def step(views=tuple(views[1:]), factors=tuple(factors[1:]),
+                 acc=acc, tmp=tmp, req=req):
+            np.multiply(views[0], factors[0], out=tmp)
+            for v, f in zip(views[1:], factors[1:]):
+                np.multiply(v, f, out=acc)
+                np.add(tmp, acc, out=tmp)
+            req()
 
-            def step(views=tuple(views), factors=tuple(factors), acc=acc,
-                     tmp=tmp, tail=tail):
-                np.multiply(views[0], factors[0], out=acc)
-                for v, f in zip(views[1:], factors[1:]):
-                    np.multiply(v, f, out=tmp)
-                    np.add(acc, tmp, out=acc)
-                tail()
-
-            return done(step, (slab, out),
-                        _Repr("i8", s_out, pn.out_name), True)
-
-        # mixed-representation add: float fallback
-        post, needs_scratch = (None, False) if pn.act is None \
-            else _act_post_op(pn.act.layer.fn)
-        post_scr = take(x_view.shape, np.float32) if needs_scratch else None
-        tmp = take(x_view.shape, np.float32)
-        slab, out = arena.acquire(x_view.shape, np.float32)
-
-        def step(entries=tuple(entries), tmp=tmp, out=out, post=post,
-                 post_scr=post_scr):
-            first_v, first_r = entries[0]
-            if first_r.kind == "i8":
-                np.multiply(first_v, first_r.scale, out=out)
-            else:
-                np.copyto(out, first_v)
-            for v, rep in entries[1:]:
-                if rep.kind == "i8":
-                    np.multiply(v, rep.scale, out=tmp)
-                    np.add(out, tmp, out=out)
-                else:
-                    np.add(out, v, out=out)
-            if post is not None:
-                post(out, post_scr)
-
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return step, _Repr("i8", s_out, pn.out_name)
 
     if isinstance(spec, ir.Concat):
-        channels = sum(v.shape[-1] for v, _ in entries)
-        out_shape = x_view.shape[:-1] + (channels,)
-        if all(rep.kind == "i8" for _, rep in entries):
-            s_out = _scale_for(amax, pn.out_name, levels)
-            scr = take(out_shape, np.float32)
-            slab, out = arena.acquire(out_shape, np.int8)
-            pieces = []
-            offset = 0
-            for v, rep in entries:
-                ci = v.shape[-1]
-                pieces.append((v, rep.scale / s_out, offset, offset + ci))
-                offset += ci
-
-            def step(pieces=tuple(pieces), scr=scr, out=out, lv=levels):
-                for v, f, a, b in pieces:
-                    if f == 1.0:
-                        np.copyto(out[..., a:b], v)
-                    else:
-                        s = scr[..., a:b]
-                        np.multiply(v, f, out=s)
-                        np.rint(s, out=s)
-                        np.clip(s, -lv, lv, out=s)
-                        np.copyto(out[..., a:b], s, casting="unsafe")
-
-            return done(step, (slab, out),
-                        _Repr("i8", s_out, pn.out_name), True)
-
-        slab, out = arena.acquire(out_shape, np.float32)
+        s_out = _scale_for(amax, pn.out_name)
+        out_shape = x_view.shape[:-1] + (sum(v.shape[-1] for v, _ in entries),)
+        scr = alloc.scratch(out_shape, np.float32)
+        out = alloc.output(out_shape, np.int8)
         pieces = []
-        offset = 0
+        a = 0
         for v, rep in entries:
-            ci = v.shape[-1]
-            pieces.append((v, rep, offset, offset + ci))
-            offset += ci
+            b = a + v.shape[-1]
+            f = rep.scale / s_out
+            pieces.append(
+                (lambda v=v, o=out[..., a:b]: np.copyto(o, v)) if f == 1.0
+                else _requant(v, scr[..., a:b], out[..., a:b], f, None,
+                              -_LEVELS, _LEVELS))
+            a = b
 
-        def step(pieces=tuple(pieces), out=out):
-            for v, rep, a, b in pieces:
-                if rep.kind == "i8":
-                    np.multiply(v, rep.scale, out=out[..., a:b])
-                else:
-                    np.copyto(out[..., a:b], v)
+        def step(pieces=tuple(pieces)):
+            for piece in pieces:
+                piece()
 
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        return step, _Repr("i8", s_out, pn.out_name)
 
     if isinstance(spec, ir.ChannelSplit):
         start, stop = spec.start, spec.stop
-        out_shape = x_view.shape[:-1] + (stop - start,)
-        native = x_repr.kind == "i8"
-        slab, out = arena.acquire(out_shape,
-                                  np.int8 if native else np.float32)
+        out = alloc.output(x_view.shape[:-1] + (stop - start,), np.int8)
 
         def step(x=x_view, start=start, stop=stop, out=out):
             np.copyto(out, x[..., start:stop])
 
-        rep = _Repr(x_repr.kind, x_repr.scale, pn.out_name)
-        return done(step, (slab, out), rep, native)
+        return step, _Repr("i8", s_in, pn.out_name)
 
     if isinstance(spec, ir.GlobalAvgPool):
         nb, h, w, c = x_view.shape
-        slab, out = arena.acquire((nb, c), np.float32)
-        if x_repr.kind == "i8":
-            def step(xq=x_view, out=out,
-                     mean_scale=x_repr.scale / (h * w)):
-                np.sum(xq, axis=(1, 2), out=out)
-                np.multiply(out, mean_scale, out=out)
+        out = alloc.output((nb, c), np.float32)
 
-            return done(step, (slab, out),
-                        _Repr("f32", name=pn.out_name), True)
+        def step(xq=x_view, out=out, mean_scale=s_in / (h * w)):
+            np.sum(xq, axis=(1, 2), out=out)
+            np.multiply(out, mean_scale, out=out)
 
-        def step(x=x_view, out=out, inv_hw=1.0 / (h * w)):
-            np.sum(x, axis=(1, 2), out=out)
-            np.multiply(out, inv_hw, out=out)
+        return step, _Repr("f32", name=pn.out_name)
 
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
-
-    if isinstance(spec, ir.Flatten):
-        if x_view.ndim == 2:
-            native = x_repr.kind == "i8"
-            slab, out = arena.acquire(x_view.shape,
-                                      np.int8 if native else np.float32)
-
-            def step(x=x_view, out=out):
-                np.copyto(out, x)
-
-            rep = _Repr(x_repr.kind, x_repr.scale, pn.out_name)
-            return done(step, (slab, out), rep, native)
-
+    if isinstance(spec, ir.Flatten) and x_view.ndim == 4:
         # Flatten of a 4-d map follows NCHW semantic order: dequantize
-        # (if needed) through a transposed view.
+        # through a transposed view.
         nb, h, w, c = x_view.shape
-        flat = (nb, c * h * w)
-        slab, out = arena.acquire(flat, np.float32)
-        out4 = out.reshape(nb, c, h, w)
-        if x_repr.kind == "i8":
-            def step(x=x_view, out4=out4, s=x_repr.scale):
-                np.multiply(x.transpose(0, 3, 1, 2), s, out=out4)
-        else:
-            def step(x=x_view, out4=out4):
-                np.copyto(out4, x.transpose(0, 3, 1, 2))
+        out4 = alloc.output((nb, c * h * w), np.float32).reshape(nb, c, h, w)
 
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name),
-                    x_repr.kind == "i8")
+        def step(x=x_view, out4=out4, s=s_in):
+            np.multiply(x.transpose(0, 3, 1, 2), s, out=out4)
+
+        return step, _Repr("f32", name=pn.out_name)
 
     if isinstance(spec, ir.Pool2D):
         kh, kw = spec.kernel_hw
@@ -1745,70 +1434,35 @@ def _build_int8_step(
                 strides=(s0, s1 * sh, s2 * sw, s1, s2, s3),
                 writeable=False)
 
-        if x_repr.kind == "i8":
-            s_in = x_repr.scale
-            if spec.op == "avg":
-                s_out = _scale_for(amax, pn.out_name, levels)
-                acc = take(out_shape, np.float32)
-                slab, out = arena.acquire(out_shape, np.int8)
-                win = nhwc_windows(x_view)
-                req = requant_into(
-                    acc, acc,
-                    np.float32(s_in / (kh * kw) / s_out), None,
-                    -levels, levels, out)
+        if spec.op == "avg":
+            s_out = _scale_for(amax, pn.out_name)
+            acc = alloc.scratch(out_shape, np.float32)
+            req = _requant(acc, acc, alloc.output(out_shape, np.int8),
+                           np.float32(s_in / (kh * kw) / s_out), None,
+                           -_LEVELS, _LEVELS)
 
-                def step(win=win, acc=acc, req=req):
-                    np.sum(win, axis=(3, 4), out=acc)
-                    req()
+            def step(win=nhwc_windows(x_view), acc=acc, req=req):
+                np.sum(win, axis=(3, 4), out=acc)
+                req()
 
-                return done(step, (slab, out),
-                            _Repr("i8", s_out, pn.out_name), True)
+            return step, _Repr("i8", s_out, pn.out_name)
 
-            # max: order-preserving on codes — same scale in and out.
-            pad_buf = None
-            xp_static = x_view
-            if any((top, bottom, left, right)):
-                pad_buf = arena.dedicate(np.full(
-                    (nb, h + top + bottom, w + left + right, c), -128,
-                    dtype=np.int8))
-                extra += pad_buf.nbytes
-                xp_static = pad_buf
-            win = nhwc_windows(xp_static)
-            slab, out = arena.acquire(out_shape, np.int8)
-
-            def step(x=x_view, pad_buf=pad_buf, top=top, left=left, h=h,
-                     w=w, win=win, out=out):
-                if pad_buf is not None:
-                    np.copyto(pad_buf[:, top:top + h, left:left + w, :], x)
-                np.max(win, axis=(3, 4), out=out)
-
-            return done(step, (slab, out),
-                        _Repr("i8", s_in, pn.out_name), True)
-
-        # float fallback pooling (NHWC)
+        # max: order-preserving on codes — same scale in and out.
         pad_buf = None
         xp_static = x_view
         if any((top, bottom, left, right)):
-            fill = 0.0 if spec.op == "avg" else -np.inf
-            pad_buf = arena.dedicate(np.full(
-                (nb, h + top + bottom, w + left + right, c), fill,
-                dtype=np.float32))
-            extra += pad_buf.nbytes
+            pad_buf = alloc.dedicate(np.full(
+                (nb, h + top + bottom, w + left + right, c), -128,
+                dtype=np.int8))
             xp_static = pad_buf
-        win = nhwc_windows(xp_static)
-        slab, out = arena.acquire(out_shape, np.float32)
-        if spec.op == "avg":
-            def step(win=win, out=out, inv=1.0 / (kh * kw)):
-                np.sum(win, axis=(3, 4), out=out)
-                np.multiply(out, inv, out=out)
-        else:
-            def step(x=x_view, pad_buf=pad_buf, top=top, left=left, h=h,
-                     w=w, win=win, out=out):
-                if pad_buf is not None:
-                    np.copyto(pad_buf[:, top:top + h, left:left + w, :], x)
-                np.max(win, axis=(3, 4), out=out)
+        out = alloc.output(out_shape, np.int8)
 
-        return done(step, (slab, out), _Repr("f32", name=pn.out_name), False)
+        def step(x=x_view, pad_buf=pad_buf, top=top, left=left, h=h,
+                 w=w, win=nhwc_windows(xp_static), out=out):
+            if pad_buf is not None:
+                np.copyto(pad_buf[:, top:top + h, left:left + w, :], x)
+            np.max(win, axis=(3, 4), out=out)
 
-    raise NotImplementedError(
-        f"no int8 compiled op for {node.kind} ({node.name})")
+        return step, _Repr("i8", s_in, pn.out_name)
+
+    return None

@@ -157,7 +157,7 @@ class PassResult:
 class Transform:
     """Mutable pipeline state for one ``(executor, input_shape, config)``.
 
-    Products the plan builders and the systolic mapper consume:
+    Products the plan driver and the systolic mapper consume:
 
     * ``plan_nodes`` — fuse decisions (which BN / activation nodes
       disappear into their producers);
@@ -437,7 +437,7 @@ def _pass_column_combine(tf: Transform) -> PassResult:
 
 
 def _pass_quantize_int8(tf: Transform) -> PassResult:
-    """Calibrate activation ranges for the int8 plan builder.
+    """Calibrate activation ranges for the int8 plan.
 
     Runs the observer pass (a float plan of identical fuse structure and
     the transform's — possibly pruned — weights) and stores per-step

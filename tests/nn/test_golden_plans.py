@@ -13,6 +13,12 @@ a script::
 
     PYTHONPATH=src python tests/nn/test_golden_plans.py --regen
 
+The ``sparse`` / ``sparse_int8`` entries were added later, generated
+from the compiler as it stood before the float and int8 plan builders
+were merged into one lowering (the nine older entries untouched), so
+they pin the pruned-pointwise float step and the sparse int8 plan
+across that rewrite.
+
 Regenerate ONLY when a deliberate, reviewed behavior change to the plan
 builder lands — never to paper over an accidental diff.
 """
@@ -35,7 +41,7 @@ BATCH = 2
 MODEL_SEED = 0
 INPUT_SEED = 2021
 
-#: (case name, network factory) — every pre-refactor preset runs on each.
+#: (case name, network factory) — every preset runs on each.
 NETWORKS = {
     "vocab": full_vocabulary_net,
     "v3s": lambda: build_model("mobilenet_v3_small", num_classes=10,
@@ -50,6 +56,8 @@ PRESETS = {
     "exact": CompileConfig.exact,
     "folded": CompileConfig,
     "int8": CompileConfig.int8,
+    "sparse": CompileConfig.sparse,
+    "sparse_int8": CompileConfig.sparse_int8,
 }
 
 
