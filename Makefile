@@ -49,22 +49,22 @@ serve-smoke:
 	python -c "import json,sys; names={m['name'] for m in json.load(open('.smoke-serve.json'))['metrics']}; missing=[n for n in ('serve.loadgen.throughput_rps','serve.loadgen.p99_ms','serve.loadgen.shed_rate','serve.loadgen.slo_violation_rate') if n not in names]; sys.exit('missing gauges: %s' % missing if missing else 0)"
 	rm -f .smoke-serve.json
 
-# Chaos smoke (docs/robustness.md): a seeded fault schedule — engine
-# errors and latency spikes, a worker crash, a plan-compile failure,
-# garbage frames and a client disconnect — drives the full TCP serving
-# path; --check fails the target unless every resilience bound held
-# (zero unhandled exceptions, >=99% of non-shed requests answered OK,
-# server healthy afterwards, p99 under the degradation bound).  The same
-# seed replays the same fault schedule and request stream; the metrics
-# sidecar (faults.injected.*, resilience.*, serve.chaos.*) is committed
-# as the reference run.
+# Chaos smoke (docs/robustness.md): the serve drill — engine errors and
+# latency spikes, a worker crash, a plan-compile failure, garbage frames
+# and a client disconnect against one server over TCP; --check fails the
+# target unless every bound held (the fault fired, zero unhandled errors,
+# >=99% of non-shed requests answered OK, server ready afterwards, wall
+# p99 under the cap, telemetry alive).  The same seed replays the same
+# fault schedule and request stream; the metrics sidecar must carry the
+# serve.chaos.* and resilience.* series.
 chaos-smoke:
 	timeout 300 python -m repro loadgen mobilenet_v3_small:full \
 		--resolution 32 --requests 120 --clients 6 --workers 2 \
 		--slo-ms 400 --chaos --check --quiet \
-		--metrics-out benchmarks/results/BENCH_chaos.json
-	python -m repro.obs.validate benchmarks/results/BENCH_chaos.json
-	python -c "import json,sys; names={m['name'] for m in json.load(open('benchmarks/results/BENCH_chaos.json'))['metrics']}; missing=[n for n in ('serve.chaos.answered_rate','serve.chaos.faults_fired','serve.chaos.unhandled_failures','resilience.degraded_responses') if n not in names]; sys.exit('missing gauges: %s' % missing if missing else 0)"
+		--metrics-out .smoke-chaos.json
+	python -m repro.obs.validate .smoke-chaos.json
+	python -c "import json,sys; names={m['name'] for m in json.load(open('.smoke-chaos.json'))['metrics']}; missing=[n for n in ('serve.chaos.answered_rate','serve.chaos.faults_fired','serve.chaos.unhandled_failures','resilience.degraded_responses') if n not in names]; sys.exit('missing gauges: %s' % missing if missing else 0)"
+	rm -f .smoke-chaos.json
 
 # Telemetry smoke (docs/observability.md): a short traced loadgen run
 # must leave (1) a metrics sidecar that renders to parseable Prometheus
@@ -81,14 +81,13 @@ telemetry-smoke:
 	python -c "import json; from repro.obs.tracing import span_topology; topo=span_topology(json.load(open('.smoke-telemetry-trace.json'))['traceEvents']); assert topo, 'no linked request traces recorded'; names={n for shape in topo for n, _ in shape}; assert {'serve.admit', 'serve.queue', 'serve.request'} <= names, 'incomplete request chains: %s' % sorted(names)"
 	rm -f .smoke-telemetry-trace.json .smoke-telemetry-metrics.json
 
-# Fleet smoke (docs/fleet.md): four replicas behind the consistent-hash
-# router take a seeded workload while one replica is killed mid-run;
-# --check fails the target unless every fleet bound held (zero unhandled
-# errors, >=99% of non-shed requests answered, only the victim's lanes
-# moved, same-seed replay fingerprint identical) and the metrics sidecar
-# must carry the fleet.chaos.* / fleet.router.* series.  The scaling
-# comparison (single node vs 4 replicas, core-count-honest gates) is
-# regenerated by bench_fleet.py into benchmarks/results/BENCH_fleet.json.
+# Fleet smoke (docs/fleet.md): the kill drill — four replicas behind the
+# consistent-hash router take a seeded workload while the lane owner is
+# killed mid-run; --check fails the target unless every bound held (zero
+# unhandled errors, >=99% of non-shed requests answered, answers after
+# the kill, only the victim's lanes moved, same-seed replay fingerprint
+# identical) and the metrics sidecar must carry the fleet.chaos.* /
+# fleet.router.* series.
 fleet-smoke:
 	timeout 300 python -m repro loadgen mobilenet_v3_small --resolution 32 \
 		--requests 120 --clients 6 --workers 2 --engine analytical \
@@ -97,18 +96,15 @@ fleet-smoke:
 	python -m repro.obs.validate .smoke-fleet.json
 	python -c "import json,sys; names={m['name'] for m in json.load(open('.smoke-fleet.json'))['metrics']}; missing=[n for n in ('fleet.chaos.answered_rate','fleet.chaos.reroutes','fleet.chaos.unhandled_failures','fleet.router.requests') if n not in names]; sys.exit('missing gauges: %s' % missing if missing else 0)"
 	rm -f .smoke-fleet.json
-	timeout 300 python benchmarks/bench_fleet.py --smoke
 
-# Gray-failure smoke (docs/robustness.md): the gray drill — one replica's
-# forward hop stalled ~20x its healthy p50 under live traffic — must hold
-# every resilience bound (client-wall p99 within 1.5x of the healthy
-# baseline, zero duplicate responses, zero unhandled errors, the victim
-# detected SLOW, hedges == wins + losses, identical same-seed fingerprint)
-# and the warm-gated scale-up must serve nothing cold and compile nothing
-# after its gate opens.  The hedging on/off ablation result is written to
-# benchmarks/results/BENCH_gray.json.
+# Gray-failure smoke (docs/robustness.md): the gray drill — every
+# forward hop to one replica stalled 250 ms under live traffic — must
+# hold every bound (client wall p99 at or under half the stall, zero
+# duplicate responses, zero unhandled errors, the victim detected SLOW,
+# hedges > 0 and == wins + losses, identical same-seed fingerprint) and
+# the warm-gated scale-up must serve nothing cold and compile nothing
+# after its gate opens.
 gray-smoke:
-	timeout 300 python benchmarks/bench_hedging.py --smoke
 	timeout 300 python -m repro loadgen mobilenet_v3_small --resolution 32 \
 		--requests 120 --clients 4 --engine analytical --slo-ms 30000 \
 		--gray --check --quiet

@@ -691,36 +691,22 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             print("--chaos/--gray run their own in-process servers; "
                   "drop --connect", file=sys.stderr)
             return 2
-        chaos_seed = (args.chaos_seed if args.chaos_seed is not None
-                      else args.workload_seed)
         p99_bound = (args.chaos_p99_ms if args.chaos_p99_ms is not None
                      else 2.0 * args.slo_ms)
+        from dataclasses import replace
+
+        from .fleet.chaos import GRAY, KILL, SERVE, run_drill
+
         if args.gray:
-            from .fleet import run_gray_chaos
-
-            chaos = asyncio.run(run_gray_chaos(
-                spec,
-                replicas=args.fleet or 3,
-                config=_serve_config(args, keys),
-            ))
+            scenario = replace(GRAY, replicas=args.fleet or GRAY.replicas)
         elif args.fleet:
-            from .fleet import run_fleet_chaos
-
-            chaos = asyncio.run(run_fleet_chaos(
-                spec,
-                replicas=args.fleet,
-                config=_serve_config(args, keys),
-                max_p99_ms=p99_bound,
-            ))
+            scenario = replace(KILL, replicas=args.fleet)
         else:
-            from .serve import default_chaos_plan, run_chaos
-
-            chaos = asyncio.run(run_chaos(
-                spec,
-                plan=default_chaos_plan(chaos_seed),
-                config=_serve_config(args, keys),
-                max_p99_ms=p99_bound,
-            ))
+            scenario = SERVE
+        chaos = asyncio.run(run_drill(
+            scenario, spec, config=_serve_config(args, keys),
+            fault_seed=args.chaos_seed, max_p99_ms=p99_bound,
+        ))
         print(chaos.render())
         if args.check:
             failures = chaos.check()
@@ -1107,13 +1093,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chaos-seed", type=int, default=None,
                    help="fault-schedule seed (default: --workload-seed)")
     p.add_argument("--chaos-p99-ms", type=float, default=None,
-                   help="p99 degradation bound under chaos "
-                        "(default: 2 x --slo-ms)")
+                   help="client wall p99 cap for the --chaos/--gray "
+                        "drills (default: 2 x --slo-ms)")
     p.add_argument("--gray", action="store_true",
                    help="gray-failure drill: stall one replica's forward "
-                        "hop 20x and assert hedging + slow-detection hold "
-                        "the fleet p99 within 1.5x of healthy "
-                        "(uses --fleet N replicas, default 3; "
+                        "hop 250 ms and assert hedging + slow-detection "
+                        "hold the client wall p99 at or under half the "
+                        "stall (uses --fleet N replicas, default 3; "
                         "see docs/robustness.md)")
     p.add_argument("--ramp", metavar="START:END:STEPS", default=None,
                    help="open-loop stair profile: split the run into STEPS "

@@ -10,10 +10,11 @@ The framework has two halves:
   :func:`should_fire` calls at instrumented sites, which are no-ops until
   a plan is installed (:func:`install_plan`).
 
-Chaos mode (``repro loadgen --chaos``, :mod:`repro.serve.chaos`) drives a
-seeded plan against a live server and asserts the resilience machinery —
-retries, circuit breaking, the degradation chain, worker restarts — holds
-its SLO bounds.  See ``docs/robustness.md``.
+The chaos drills (``repro loadgen --chaos`` / ``--gray``,
+:mod:`repro.fleet.chaos`) drive a seeded plan against live servers and
+assert the resilience machinery — retries, circuit breaking, the
+degradation chain, worker restarts, hedging — holds its bounds.  See
+``docs/robustness.md``.
 """
 
 from .injector import (

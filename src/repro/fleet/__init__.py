@@ -7,7 +7,7 @@ speaking the same JSON-lines wire protocol, with consistent-hash
 placement (:mod:`~repro.fleet.placement`), replica health tracking
 (:mod:`~repro.fleet.health`), lifecycle supervision
 (:mod:`~repro.fleet.supervisor`), cost-model-priced autoscaling
-(:mod:`~repro.fleet.autoscaler`) and fleet-wide chaos
+(:mod:`~repro.fleet.autoscaler`) and the chaos drills
 (:mod:`~repro.fleet.chaos`).  ``docs/fleet.md`` is the narrative tour.
 """
 
@@ -19,12 +19,7 @@ from .autoscaler import (
     ScaleDecision,
     price_capacity_qps,
 )
-from .chaos import (
-    FleetChaosReport,
-    GrayChaosReport,
-    run_fleet_chaos,
-    run_gray_chaos,
-)
+from .chaos import GRAY, KILL, SERVE, DrillReport, Scenario, run_drill
 from .health import ReplicaEndpoint, ReplicaHealth, ReplicaState
 from .placement import DEFAULT_VNODES, HashRing
 from .router import FleetRouter, ReplicaLink, RouterConfig
@@ -38,10 +33,12 @@ __all__ = [
     "ReplicaSample",
     "ScaleDecision",
     "price_capacity_qps",
-    "FleetChaosReport",
-    "GrayChaosReport",
-    "run_fleet_chaos",
-    "run_gray_chaos",
+    "GRAY",
+    "KILL",
+    "SERVE",
+    "DrillReport",
+    "Scenario",
+    "run_drill",
     "ReplicaEndpoint",
     "ReplicaHealth",
     "ReplicaState",

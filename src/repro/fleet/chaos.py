@@ -1,91 +1,203 @@
-"""Fleet chaos: kill a replica mid-run, prove the router absorbs it.
+"""Chaos drills: one runner, three scenarios, one report.
 
-The single-node chaos suite (:mod:`repro.serve.chaos`) injects faults
-*inside* one server; the fleet suite injects the fault the fleet layer
-exists for — a whole replica dying under live traffic.  One exercise:
+A drill spawns a topology, drives the standard deterministic workload
+through it while a fault fires, and checks a list of bounds against
+what it saw.  A :class:`Scenario` names all three:
 
-1. spawn ``replicas`` in-process servers behind a :class:`FleetRouter`
-   and drive the standard deterministic workload through the router;
-2. once ``kill_fraction`` of the requests have completed, **crash** the
-   replica that owns the first model's lane (connections aborted, queue
-   dropped — :meth:`~repro.fleet.supervisor.FleetSupervisor.kill`), the
-   worst case because it is the one taking traffic;
-3. assert the chaos bounds afterwards
-   (:meth:`FleetChaosReport.check`):
+* **the fault** — a seeded :class:`~repro.faults.FaultPlan` (specs
+  tagged :data:`VICTIM` bind to the replica owning the workload's first
+  lane), a raw connection feeding malformed frames, a mid-run crash of
+  the victim, and/or a warm-gated scale-up after the workload;
+* **the topology** — the replica count and the router config.  Every
+  replica is an in-process :class:`~repro.fleet.supervisor.FleetSupervisor`
+  server behind a real loopback listener (the same connection handler
+  as ``serve_tcp``).  Without a router the single replica is addressed
+  directly; with one, every request crosses the router;
+* **the bounds** — checked on top of the shared ones every drill keeps:
+  the fault fired, zero unhandled errors, ≥ 99 % of non-shed requests
+  answered OK, the same-seed replay fingerprint unchanged, and the
+  client wall p99 under an optional cap.
 
-   * zero unhandled errors — every request got an answer (the router
-     turns dead-replica forwards into reroutes, and total exhaustion
-     into an accounted router-SHED, never an exception);
-   * ≥ ``min_answered_rate`` of non-shed requests answered OK;
-   * requests kept completing *after* the kill (rerouting actually
-     carried traffic, not just the pre-kill prefix);
-   * the router is still ready with exactly ``replicas - 1`` usable
-     backends, and the victim's lanes — and only the victim's lanes —
-     moved to surviving replicas (consistent hashing's minimal-movement
-     property, observed end to end);
-   * the same-seed replay fingerprint (the SHA-256 over the expanded
-     request stream) is byte-identical to the pre-run digest, so a
-     re-run replays exactly the traffic that survived the kill.
+The three scenarios are module constants:
 
-The exercise runs single-process (supervisor ``inproc`` mode) but every
-request crosses real loopback sockets through the real router — the kill
-is a genuine TCP RST storm, not a mock.
+* :data:`SERVE` — ``repro loadgen --chaos``: one server takes engine
+  errors and delays, a worker crash, a compile failure, garbage frames
+  and a client disconnect, while a raw feeder pokes the transport.  The
+  server must stay ready, answer every bad frame with a structured
+  error, and keep its telemetry snapshot loop alive;
+* :data:`KILL` — ``repro loadgen --chaos --fleet N``: the lane owner is
+  crashed (connections aborted, queue dropped) once 35 % of the
+  requests completed.  Answers must keep flowing after the kill, the
+  router must stay ready with N−1 usable replicas, and only the
+  victim's lanes may move;
+* :data:`GRAY` — ``repro loadgen --gray``: every forward hop to the lane
+  owner stalls :data:`STALL_MS`.  The client wall p99 must stay at or
+  under half the stall, every request is answered exactly once, the
+  victim is detected SLOW, hedges add up, and a warm-gated scale-up
+  afterwards serves nothing cold and compiles nothing once its gate
+  opened.  The tail bound is stated against the injected fault, not a
+  measured healthy baseline: host noise must reach half the stall to
+  move the verdict, while without hedging the p99 is the stall itself.
+
+Determinism: the request stream and the fault schedule replay exactly
+for a seed; the report carries both fingerprints.  Which in-flight
+request a firing lands on may vary with thread interleaving, so the
+bounds are aggregates (see :mod:`repro.faults.plan`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..faults import FaultPlan, FaultSpec, clear_plan, install_plan
+from ..faults import FaultPlan, FaultSpec, current_injector, install_plan
 from ..obs import get_logger, get_registry
 from ..obs.stats import percentile
-from ..serve.chaos import _requests_digest
 from ..serve.loadgen import (
     LoadReport,
     WorkloadSpec,
     build_requests,
+    requests_digest,
     run_workload,
 )
 from ..serve.server import ServeConfig
-from ..serve.transport import RemoteClient
+from ..serve.transport import MAX_LINE_BYTES, RemoteClient
+from .placement import HashRing
 from .router import FleetRouter, RouterConfig
 from .supervisor import FleetSupervisor
 from .warmup import lane_specs, warm_replica
 
 __all__ = [
-    "FleetChaosReport",
-    "run_fleet_chaos",
-    "GrayChaosReport",
-    "run_gray_chaos",
+    "Scenario",
+    "DrillReport",
+    "SERVE",
+    "KILL",
+    "GRAY",
+    "STALL_MS",
+    "VICTIM",
+    "run_drill",
 ]
 
 _log = get_logger("fleet.chaos")
 
+#: Fault-spec tag bound at run time to the replica owning the first lane.
+VICTIM = "victim"
+#: The gray drill's per-hop stall.  Fixed, so the tail bound (half of it)
+#: is a statement about the fault, not about a measured baseline, and
+#: long next to the hedged tail: the hedge delay (up to 4 × the forward
+#: p50) plus one backup forward.
+STALL_MS = 250.0
+#: Share of non-shed requests that must be answered OK.
+MIN_ANSWERED_RATE = 0.99
+#: Completed share of the workload after which the KILL drill crashes
+#: the victim.
+KILL_FRACTION = 0.35
+#: Requests per post-scale-up pass (direct and through the router).
+SCALE_UP_REQUESTS = 12
+#: Per-attempt client timeout (the router's forward timeout).
+CLIENT_TIMEOUT_S = 30.0
+#: Client resends after a timeout or a lost connection, given only to a
+#: drill that drops client connections itself (``transport.disconnect``):
+#: anywhere else a resend would hide a connection the drill broke.
+CLIENT_RETRIES = 3
+
+#: Counters whose deltas over the run land in ``DrillReport.observed``.
+_COUNTERS = {
+    "retries": "resilience.retries",
+    "degraded_responses": "resilience.degraded_responses",
+    "worker_restarts": "resilience.worker_restarts",
+    "requeued": "resilience.requeued",
+    "compile_fallbacks": "resilience.compile_fallbacks",
+    "breaker_short_circuits": "resilience.breaker_short_circuits",
+    "bad_lines": "serve.transport.bad_lines",
+    "oversized_lines": "serve.transport.oversized_lines",
+    "client_bad_lines": "serve.client.bad_lines",
+    "reroutes": "fleet.reroutes",
+    "hedges": "fleet.hedges",
+    "hedge_wins": "fleet.hedge_wins",
+    "hedge_losses": "fleet.hedge_losses",
+    "slow_detections": "fleet.slow_detections",
+}
+
+
+#: One bound: a predicate on the report and the message it fails with.
+#: Messages are ``str.format``-ed with ``d``, the report, and ``o``, its
+#: observations (missing keys read 0); the observation keys are those
+#: :func:`run_drill` records.
+Bound = Tuple[Callable[["DrillReport"], bool], str]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One drill: the fault, the topology, and the bounds on top of
+    :data:`SHARED_BOUNDS`.  Derive variants with ``dataclasses.replace``."""
+
+    name: str                               #: gauge prefix (``fleet.chaos``)
+    faults: Tuple[FaultSpec, ...] = ()      #: the seeded plan's specs
+    garbage: bool = False                   #: feed malformed frames alongside
+    kill: bool = False                      #: crash the victim mid-run
+    scale_up: bool = False                  #: warm-gated scale-up afterwards
+    replicas: int = 1
+    router: Optional[RouterConfig] = None   #: ``None``: one replica, direct
+    bounds: Tuple[Bound, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.router is None and self.replicas != 1:
+            raise ValueError(f"{self.name}: a drill without a router runs "
+                             f"exactly one replica")
+        if self.router is not None and self.replicas < 2:
+            raise ValueError(f"{self.name}: a fleet drill needs at least "
+                             f"2 replicas")
+
+    def plan(self, seed: int, victim: Optional[str] = None
+             ) -> Optional[FaultPlan]:
+        """The seeded fault plan, :data:`VICTIM` tags bound to ``victim``."""
+        if not self.faults:
+            return None
+        return FaultPlan(seed=seed, faults=[
+            replace(s, tag=victim) if s.tag == VICTIM else s
+            for s in self.faults
+        ])
+
+    @property
+    def stall_ms(self) -> float:
+        """The longest injected stall (0 without one)."""
+        return max((s.delay_ms for s in self.faults if s.kind == "stall"),
+                   default=0.0)
+
+    @property
+    def client_retries(self) -> int:
+        """:data:`CLIENT_RETRIES` if the plan drops client connections."""
+        return (CLIENT_RETRIES if any(s.point == "transport.disconnect"
+                                      for s in self.faults) else 0)
+
 
 @dataclass
-class FleetChaosReport:
-    """Everything one fleet-kill exercise observed, plus the bound checks."""
+class DrillReport:
+    """Everything one drill observed, plus the bound checks."""
 
+    scenario: Scenario
     report: LoadReport
-    requests_digest: str        #: pre-run fingerprint of the request stream
-    replay_digest: str          #: same spec re-expanded after the run
-    replicas: int
-    victim: str                 #: replica killed mid-run
-    killed_at_completed: int    #: completions when the kill fired
-    ok_after_kill: int          #: OK answers completed after the kill
-    health_after: dict          #: router ``op: health`` after the run
-    placement_before: Dict[str, str]
-    placement_after: Dict[str, str]
-    reroutes: int               #: forwards the router retried elsewhere
-    min_answered_rate: float = 0.99
+    wall_p99_ms: float              #: client-observed, submit to answer
+    requests_digest: str            #: request stream before the run
+    replay_digest: str              #: the same spec re-expanded after it
+    plan_fingerprint: str           #: ``""`` without a plan
+    victim: str                     #: replica owning the first lane
+    faults_fired: Dict[str, int]    #: per fault point; ``replica.kill``
+    observed: Dict[str, float]      #: counter deltas and drill witnesses
+    health_after: dict              #: ``op: health`` of the client's target
+    placement_before: Dict[str, str] = field(default_factory=dict)
+    placement_after: Dict[str, str] = field(default_factory=dict)
     max_p99_ms: Optional[float] = None
     failures: List[str] = field(default_factory=list)
 
     @property
     def answered_rate(self) -> float:
+        """OK responses over requests that were not shed/expired."""
         denom = self.report.total - self.report.shed
         return self.report.ok / denom if denom > 0 else 1.0
 
@@ -95,553 +207,453 @@ class FleetChaosReport:
                 if self.placement_after.get(lane) != owner]
 
     def check(self) -> List[str]:
-        failures: List[str] = []
-        if self.report.errors:
-            failures.append(
-                f"{self.report.errors} unhandled errors — a replica kill "
-                f"must surface as reroute or accounted shed, never ERROR"
-            )
-        if self.answered_rate < self.min_answered_rate:
-            failures.append(
-                f"answered rate {self.answered_rate:.4f} < "
-                f"{self.min_answered_rate} ({self.report.ok} ok of "
-                f"{self.report.total - self.report.shed} non-shed)"
-            )
-        if self.killed_at_completed <= 0:
-            failures.append("kill never fired — the exercise is inert")
-        if self.ok_after_kill <= 0:
-            failures.append(
-                "no request completed after the kill — the router did not "
-                "carry traffic on the surviving replicas"
-            )
-        if not self.health_after.get("ready", False):
-            failures.append(f"router not ready after kill: {self.health_after}")
-        usable = self.health_after.get("usable")
-        if usable != self.replicas - 1:
-            failures.append(
-                f"expected {self.replicas - 1} usable replicas after the "
-                f"kill, router reports {usable}"
-            )
-        stray = [lane for lane in self.moved_lanes
-                 if self.placement_before[lane] != self.victim]
-        if stray:
-            failures.append(
-                f"lanes not owned by the victim moved: {stray} — "
-                f"minimal-movement violated"
-            )
-        victim_lanes = [lane for lane, owner in self.placement_before.items()
-                        if owner == self.victim]
-        if victim_lanes and not self.moved_lanes:
-            failures.append(
-                f"victim {self.victim} owned lanes {victim_lanes} but "
-                f"none moved after the kill"
-            )
-        if any(owner == self.victim for owner in self.placement_after.values()):
-            failures.append(f"dead replica {self.victim} still owns lanes")
-        if self.replay_digest != self.requests_digest:
-            failures.append(
-                f"replay fingerprint changed: {self.requests_digest[:12]} → "
-                f"{self.replay_digest[:12]}"
-            )
-        if self.max_p99_ms is not None and self.report.p99_ms > self.max_p99_ms:
-            failures.append(
-                f"p99 {self.report.p99_ms:.1f} ms exceeded the kill-latency "
-                f"bound {self.max_p99_ms:.1f} ms"
-            )
-        self.failures = failures
-        return failures
+        """Evaluate every bound; the (cached) list of failures."""
+        observed = defaultdict(float, self.observed)
+        self.failures = []
+        for holds, message in SHARED_BOUNDS + self.scenario.bounds:
+            if not holds(self):
+                self.failures.append(message.format(d=self, o=observed))
+        return self.failures
 
     @property
     def ok(self) -> bool:
         return not self.check()
 
     def record(self) -> None:
+        """Publish the drill as ``<scenario.name>.*`` gauges."""
         registry = get_registry()
-        registry.gauge("fleet.chaos.answered_rate").set(self.answered_rate)
-        registry.gauge("fleet.chaos.ok_after_kill").set(
-            float(self.ok_after_kill))
-        registry.gauge("fleet.chaos.reroutes").set(float(self.reroutes))
-        registry.gauge("fleet.chaos.moved_lanes").set(
-            float(len(self.moved_lanes)))
-        registry.gauge("fleet.chaos.unhandled_failures").set(
-            float(len(self.check())))
+        gauges = dict(self.observed)
+        gauges.update(
+            answered_rate=self.answered_rate,
+            faults_fired=float(sum(self.faults_fired.values())),
+            wall_p99_ms=self.wall_p99_ms,
+            moved_lanes=float(len(self.moved_lanes)),
+            unhandled_failures=float(len(self.check())),
+        )
+        for name, value in gauges.items():
+            registry.gauge(f"{self.scenario.name}.{name}").set(float(value))
 
     def render(self) -> str:
+        s = self.scenario
+        replay = ("identical" if self.replay_digest == self.requests_digest
+                  else "DIVERGED")
+        cap = (f" (cap {self.max_p99_ms:.1f})"
+               if self.max_p99_ms is not None else "")
         lines = [
             self.report.render(),
-            f"  fleet chaos : {self.replicas} replicas, killed "
-            f"{self.victim} after {self.killed_at_completed} completions",
-            f"  rerouting   : {self.reroutes} forwards rerouted, "
-            f"{self.ok_after_kill} ok answers after the kill",
-            f"  placement   : {len(self.moved_lanes)} lane(s) moved "
-            f"({', '.join(self.moved_lanes) or 'none'})",
+            f"  drill       : {s.name}, {s.replicas} replica(s), "
+            f"victim {self.victim}",
+            "  faults      : " + (", ".join(
+                f"{point}={count}"
+                for point, count in sorted(self.faults_fired.items())
+            ) or "none fired"),
+            f"  fingerprint : plan {self.plan_fingerprint[:12] or '-'}  "
+            f"requests {self.requests_digest[:12]} (replay {replay})",
+            f"  tail        : wall p99 {self.wall_p99_ms:.1f} ms{cap}",
+            "  observed    : " + ", ".join(
+                f"{name}={value:g}"
+                for name, value in sorted(self.observed.items()) if value
+            ),
             f"  answered    : {self.answered_rate * 100:.2f}% of non-shed "
-            f"(bound {self.min_answered_rate * 100:.0f}%)",
-            f"  fingerprint : {self.requests_digest[:12]} "
-            f"(replay {'identical' if self.replay_digest == self.requests_digest else 'DIVERGED'})",
-            f"  health      : ready={self.health_after.get('ready')}  "
-            f"usable={self.health_after.get('usable')}"
-            f"/{self.health_after.get('total')}",
+            f"(bound {MIN_ANSWERED_RATE * 100:.0f}%)",
+            "  health      : " + "  ".join(
+                f"{k}={self.health_after.get(k)}"
+                for k in ("ready", "workers_alive", "usable", "total")
+                if k in self.health_after
+            ),
         ]
+        if self.placement_before != self.placement_after:
+            lines.append(f"  placement   : moved "
+                         f"{', '.join(self.moved_lanes)}")
         failures = self.check()
         if failures:
             lines.append("  CHAOS FAIL  : " + "; ".join(failures))
         else:
-            lines.append("  chaos check : all fleet bounds held")
+            lines.append(f"  chaos check : all {s.name} bounds held")
         return "\n".join(lines)
 
 
-async def run_fleet_chaos(
-    spec: WorkloadSpec,
-    replicas: int = 4,
-    config: Optional[ServeConfig] = None,
-    router_config: Optional[RouterConfig] = None,
-    kill_fraction: float = 0.35,
-    min_answered_rate: float = 0.99,
-    max_p99_ms: Optional[float] = None,
-    client_timeout_s: float = 30.0,
-) -> FleetChaosReport:
-    """One fleet-kill exercise (see the module docstring for the plot)."""
-    if replicas < 2:
-        raise ValueError("fleet chaos needs at least 2 replicas")
-    config = config or ServeConfig(preload=list(spec.keys))
-    router_config = router_config or RouterConfig(
-        seed=spec.seed, probe_interval_s=0.1
-    )
-    digest_before = _requests_digest(spec)
-    lanes = [FleetRouter.lane(k.canonical(), bool(config.int8))
-             for k in spec.keys]
+# ------------------------------------------------------------------ bounds
 
-    supervisor = FleetSupervisor(base_config=config, mode="inproc")
-    endpoints = [await supervisor.spawn() for _ in range(replicas)]
-    router = FleetRouter(endpoints, router_config)
-    await router.start()
+#: Bounds every drill keeps, before its scenario's own.
+SHARED_BOUNDS: Tuple[Bound, ...] = (
+    (lambda d: sum(d.faults_fired.values()) > 0,
+     "no fault fired — the drill is inert"),
+    (lambda d: d.report.errors == 0,
+     "{d.report.errors} unhandled errors — an injected fault must surface "
+     "as a retry, reroute, hedge or accounted shed"),
+    (lambda d: d.answered_rate >= MIN_ANSWERED_RATE,
+     "answered rate {d.answered_rate:.4f} < "
+     f"{MIN_ANSWERED_RATE} ({{d.report.ok}} ok of {{d.report.total}}, "
+     "{d.report.shed} shed)"),
+    (lambda d: d.replay_digest == d.requests_digest,
+     "replay fingerprint changed: {d.requests_digest:.12} → "
+     "{d.replay_digest:.12}"),
+    (lambda d: d.max_p99_ms is None or d.wall_p99_ms <= d.max_p99_ms,
+     "wall p99 {d.wall_p99_ms:.1f} ms exceeded the cap "
+     "{d.max_p99_ms:.1f} ms"),
+)
 
-    placement_before = router.ring.assignment(lanes)
-    victim = placement_before[lanes[0]]
-    kill_after = max(1, int(spec.requests * kill_fraction))
-    _log.info("fleet chaos starting", replicas=replicas, victim=victim,
-              kill_after=kill_after, requests=spec.requests)
+_READY: Bound = (lambda d: bool(d.health_after.get("ready")),
+                 "not ready after the drill: {d.health_after}")
 
-    reroutes_before = _counter("fleet.reroutes")
-    client = RemoteClient("127.0.0.1", router.port,
-                          timeout_s=client_timeout_s, seed=spec.seed)
-    state = {"completed": 0, "killed_at": 0, "ok_after_kill": 0,
-             "kill_task": None}
 
-    async def kill_victim() -> None:
-        await supervisor.kill(victim)
-        # The router discovers the death through failed forwards/probes —
-        # membership is deliberately NOT updated here.
-        _log.info("victim killed", replica=victim,
-                  completed=state["killed_at"])
+# --------------------------------------------------------------- scenarios
 
-    async def submit(request):
-        response = await client.submit(request)
-        state["completed"] += 1
-        if state["kill_task"] is None and state["completed"] >= kill_after:
-            state["killed_at"] = state["completed"]
-            state["kill_task"] = asyncio.create_task(kill_victim())
-        elif state["kill_task"] is not None and response.ok:
-            state["ok_after_kill"] += 1
-        return response
+#: Every serving fault point, bounded for a few-hundred-request workload.
+SERVE = Scenario(
+    name="serve.chaos",
+    faults=(
+        FaultSpec(point="serve.engine", kind="error",
+                  probability=0.05, max_fires=4, after=5),
+        FaultSpec(point="serve.engine", kind="delay",
+                  probability=0.05, max_fires=5, delay_ms=25.0),
+        FaultSpec(point="serve.worker", kind="error", after=10, max_fires=1),
+        FaultSpec(point="nn.compile", kind="error", max_fires=1),
+        FaultSpec(point="transport.garbage", kind="error",
+                  probability=0.05, max_fires=3),
+        FaultSpec(point="transport.disconnect", kind="error",
+                  after=40, max_fires=1),
+    ),
+    garbage=True,
+    bounds=(
+        _READY,
+        (lambda d: bool(d.observed.get("garbage_answered")),
+         "garbage feeder got no structured error replies"),
+        (lambda d: d.observed.get("snapshots", 2) >= 2,
+         "telemetry snapshot loop did not advance "
+         "({o[snapshots]:g} snapshots taken)"),
+    ),
+)
 
-    try:
-        await client.connect()
-        report = await run_workload(submit, spec)
-        if state["kill_task"] is not None:
-            await state["kill_task"]
-        # Let the probe loop settle the victim's state before reading
-        # health — forwards already demoted it, probes confirm.
-        await router.probe_once()
-        health = await client.health()
-        placement_after = router.ring.assignment(lanes)
-    finally:
-        await client.close()
-        await router.stop()
-        await supervisor.stop()
+#: Four replicas; the lane owner crashes mid-run.
+KILL = Scenario(
+    name="fleet.chaos",
+    kill=True,
+    replicas=4,
+    router=RouterConfig(probe_interval_s=0.1),
+    bounds=(
+        _READY,
+        (lambda d: d.health_after.get("usable") == d.scenario.replicas - 1,
+         "router should report one usable replica fewer than "
+         "{d.scenario.replicas} after the kill: {d.health_after}"),
+        (lambda d: d.observed.get("ok_after_kill", 0) > 0,
+         "no request completed after the kill — the router did not carry "
+         "traffic on the surviving replicas"),
+        (lambda d: bool(d.moved_lanes)
+         and all(d.placement_before[lane] == d.victim
+                 for lane in d.moved_lanes)
+         and d.victim not in d.placement_after.values(),
+         "the kill must move the victim {d.victim}'s lanes and only "
+         "those: {d.placement_before} → {d.placement_after}"),
+    ),
+)
 
-    chaos = FleetChaosReport(
-        report=report,
-        requests_digest=digest_before,
-        replay_digest=_requests_digest(spec),
-        replicas=replicas,
-        victim=victim,
-        killed_at_completed=state["killed_at"],
-        ok_after_kill=state["ok_after_kill"],
-        health_after=health,
-        placement_before=placement_before,
-        placement_after=placement_after,
-        reroutes=int(_counter("fleet.reroutes") - reroutes_before),
-        min_answered_rate=min_answered_rate,
-        max_p99_ms=max_p99_ms,
-    )
-    chaos.record()
-    return chaos
+#: Three replicas; every hop to the lane owner stalls once the router has
+#: the forward samples hedging needs.  The drill concentrates a whole
+#: lane on the victim, so the hedge rate cap is lifted (in production
+#: lanes spread over the ring and SLOW primaries bypass the cap anyway)
+#: and probes run fast enough for detection to land within the run.
+GRAY = Scenario(
+    name="fleet.gray",
+    faults=(
+        FaultSpec(point="fleet.forward", kind="stall", probability=1.0,
+                  max_fires=None, after=24, delay_ms=STALL_MS, tag=VICTIM),
+    ),
+    scale_up=True,
+    replicas=3,
+    router=RouterConfig(probe_interval_s=0.05, slow_windows=2,
+                        hedge_rate_cap=1.0, hedge_min_samples=16),
+    bounds=(
+        (lambda d: d.wall_p99_ms <= d.scenario.stall_ms / 2.0,
+         "wall p99 {d.wall_p99_ms:.1f} ms exceeded half the "
+         "{d.scenario.stall_ms:.0f} ms stall"),
+        (lambda d: not d.observed.get("duplicates"),
+         "{o[duplicates]:g} request id(s) answered more than once — "
+         "hedging broke exactly-once responses"),
+        (lambda d: d.observed.get("slow_detections", 0) > 0,
+         "victim {d.victim} was never detected SLOW — the latency-window "
+         "path did not fire"),
+        (lambda d: 0 < d.observed.get("hedges", 0) == (
+            d.observed.get("hedge_wins", 0)
+            + d.observed.get("hedge_losses", 0)),
+         "hedge accounting broken: fired {o[hedges]:g} (must be > 0) != "
+         "wins {o[hedge_wins]:g} + losses {o[hedge_losses]:g}"),
+        (lambda d: not d.observed.get("starting_served"),
+         "the scale-up replica answered {o[starting_served]:g} forward(s) "
+         "before its warm-up gate opened"),
+        (lambda d: bool(d.observed.get("gate_ready")),
+         "the scale-up replica was not routable after warm-up"),
+        (lambda d: not (d.observed.get("cold_builds")
+                        or d.observed.get("cold_plans")),
+         "post-scale-up traffic triggered {o[cold_builds]:g} model "
+         "build(s) and {o[cold_plans]:g} plan compile(s)"),
+        (lambda d: d.observed.get("post_scale_ok", 0) > 0,
+         "no request completed after the scale-up"),
+    ),
+)
 
+
+# ------------------------------------------------------------------ runner
 
 def _counter(name: str) -> float:
     metric = get_registry().get(name)
     return float(metric.value) if metric is not None else 0.0
 
 
-# --------------------------------------------------------------- gray chaos
-
-@dataclass
-class GrayChaosReport:
-    """One gray-failure drill: a 20×-slow replica under live traffic.
-
-    Two identical workload runs — a healthy baseline, then the same spec
-    with one replica's forward hop stalled (``fleet.forward`` fault point,
-    ``kind="stall"``, tagged to the victim) — followed by a warm-gated
-    scale-up.  ``check()`` asserts the gray-failure contract end to end:
-    tail latency bounded by hedging, slow-detection fired, exactly one
-    response per request id, zero unhandled errors, the replay
-    fingerprint unchanged, and zero cold builds/compiles after the
-    warm-up gate opened.
-
-    The tail bound is asserted on **client-observed wall latency**
-    (``*_wall_*`` fields), not on the replicas' ``total_ms``: a replica
-    measures admission → response, and the stalled hop lives in the
-    router *before* admission — on server clocks the gray failure is
-    literally invisible, which is the whole point of the drill.
-    """
-
-    baseline: LoadReport
-    gray: LoadReport
-    baseline_wall_p50_ms: float  #: client-measured, healthy run
-    baseline_wall_p99_ms: float
-    gray_wall_p99_ms: float      #: client-measured, stalled run
-    requests_digest: str
-    replay_digest: str
-    replicas: int
-    victim: str
-    stall_ms: float
-    stalls_fired: int           #: fleet.forward stall firings (delta)
-    duplicates: int             #: request ids answered more than once
-    slow_detections: int        #: SLOW transitions during the gray run
-    hedges: int                 #: hedges fired (delta)
-    hedge_wins: int
-    hedge_losses: int
-    # Warm-up gate phase (scale-up under the same router).
-    scale_up_replica: str
-    starting_served: int        #: forwards the cold replica answered (must be 0)
-    gate_ready_after_warm: bool
-    warmed_lanes: int
-    cold_builds: int            #: serve.registry.builds delta post-warm-up
-    cold_plans: int             #: runtime.plans (compiles) delta post-warm-up
-    post_scale_ok: int          #: OK answers after the gate opened
-    p99_factor: float = 1.5
-    p99_slack_ms: float = 25.0
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def p99_bound_ms(self) -> float:
-        """The drill's tail bound: ``factor × healthy wall p99 + slack``.
-
-        The small absolute slack absorbs scheduler jitter on sub-50 ms
-        baselines; the multiplicative factor is the contract (a fleet
-        with one 20×-slow replica must not be 20× slower — hedging and
-        slow-detection keep the tail within 1.5× of healthy).
-        """
-        return self.p99_factor * self.baseline_wall_p99_ms + self.p99_slack_ms
-
-    def check(self) -> List[str]:
-        failures: List[str] = []
-        if self.stalls_fired <= 0:
-            failures.append("no stall fired — the gray drill is inert")
-        if self.gray.errors:
-            failures.append(
-                f"{self.gray.errors} unhandled errors — a stalled hop must "
-                f"surface as a hedge or reroute, never ERROR"
-            )
-        if self.duplicates:
-            failures.append(
-                f"{self.duplicates} request id(s) answered more than once — "
-                f"hedging broke the exactly-once response guarantee"
-            )
-        if self.gray_wall_p99_ms > self.p99_bound_ms:
-            failures.append(
-                f"gray wall p99 {self.gray_wall_p99_ms:.1f} ms exceeded the "
-                f"bound {self.p99_bound_ms:.1f} ms ({self.p99_factor}× "
-                f"healthy wall p99 {self.baseline_wall_p99_ms:.1f} ms "
-                f"+ {self.p99_slack_ms:.0f})"
-            )
-        if self.slow_detections <= 0:
-            failures.append(
-                f"victim {self.victim} was never detected SLOW — the "
-                f"latency-window path did not fire"
-            )
-        if self.hedges != self.hedge_wins + self.hedge_losses:
-            failures.append(
-                f"hedge accounting broken: fired {self.hedges} != wins "
-                f"{self.hedge_wins} + losses {self.hedge_losses}"
-            )
-        if self.replay_digest != self.requests_digest:
-            failures.append(
-                f"replay fingerprint changed: {self.requests_digest[:12]} → "
-                f"{self.replay_digest[:12]}"
-            )
-        if self.starting_served:
-            failures.append(
-                f"cold replica {self.scale_up_replica} answered "
-                f"{self.starting_served} forward(s) before its warm-up gate "
-                f"opened — STARTING must be unroutable"
-            )
-        if not self.gate_ready_after_warm:
-            failures.append(
-                f"replica {self.scale_up_replica} not routable after warm-up"
-            )
-        if self.cold_builds or self.cold_plans:
-            failures.append(
-                f"post-scale-up traffic triggered {self.cold_builds} model "
-                f"build(s) and {self.cold_plans} plan compile(s) — the "
-                f"warm-up gate served a cold replica"
-            )
-        if self.post_scale_ok <= 0:
-            failures.append("no request completed after the scale-up")
-        self.failures = failures
-        return failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.check()
-
-    def record(self) -> None:
-        registry = get_registry()
-        registry.gauge("fleet.gray.baseline_p99_ms").set(
-            self.baseline_wall_p99_ms)
-        registry.gauge("fleet.gray.p99_ms").set(self.gray_wall_p99_ms)
-        registry.gauge("fleet.gray.stall_ms").set(self.stall_ms)
-        registry.gauge("fleet.gray.hedges").set(float(self.hedges))
-        registry.gauge("fleet.gray.hedge_wins").set(float(self.hedge_wins))
-        registry.gauge("fleet.gray.duplicates").set(float(self.duplicates))
-        registry.gauge("fleet.gray.cold_builds").set(float(self.cold_builds))
-        registry.gauge("fleet.gray.unhandled_failures").set(
-            float(len(self.check())))
-
-    def render(self) -> str:
-        lines = [
-            self.gray.render(),
-            f"  gray chaos  : {self.replicas} replicas, {self.victim} "
-            f"stalled {self.stall_ms:.0f} ms/hop ({self.stalls_fired} stalls)",
-            f"  tail        : wall p99 {self.gray_wall_p99_ms:.1f} ms vs "
-            f"healthy {self.baseline_wall_p99_ms:.1f} ms "
-            f"(bound {self.p99_bound_ms:.1f})",
-            f"  hedging     : {self.hedges} fired = {self.hedge_wins} wins "
-            f"+ {self.hedge_losses} losses; {self.duplicates} duplicate "
-            f"response(s)",
-            f"  detection   : {self.slow_detections} SLOW transition(s)",
-            f"  scale-up    : {self.scale_up_replica} held unroutable "
-            f"(served {self.starting_served} cold), warmed "
-            f"{self.warmed_lanes} lane(s), then {self.cold_builds} builds / "
-            f"{self.cold_plans} compiles under {self.post_scale_ok} requests",
-            f"  fingerprint : {self.requests_digest[:12]} "
-            f"(replay {'identical' if self.replay_digest == self.requests_digest else 'DIVERGED'})",
-        ]
-        failures = self.check()
-        if failures:
-            lines.append("  GRAY FAIL   : " + "; ".join(failures))
-        else:
-            lines.append("  gray check  : all gray-failure bounds held")
-        return "\n".join(lines)
-
-
-async def run_gray_chaos(
+async def run_drill(
+    scenario: Scenario,
     spec: WorkloadSpec,
-    replicas: int = 3,
     config: Optional[ServeConfig] = None,
-    router_config: Optional[RouterConfig] = None,
-    stall_mult: float = 20.0,
-    stall_floor_ms: float = 40.0,
-    p99_factor: float = 1.5,
-    p99_slack_ms: float = 25.0,
-    scale_up_requests: int = 12,
-    client_timeout_s: float = 30.0,
-) -> GrayChaosReport:
-    """The gray-failure drill (see :class:`GrayChaosReport` for the plot).
+    fault_seed: Optional[int] = None,
+    max_p99_ms: Optional[float] = None,
+) -> DrillReport:
+    """Run one drill end to end and return its (recorded) report.
 
-    The drill's router defaults differ from production in two places,
-    both because the drill concentrates ALL of one lane's traffic on the
-    victim: the hedge rate cap is lifted (a 5% cap against a primary
-    owning ~100% of a lane would serialize the stalls the drill exists
-    to absorb — in production, lanes spread over the ring and SLOW
-    primaries bypass the cap anyway) and probes run fast so detection
-    happens within the run.
+    ``fault_seed`` seeds the fault plan (default: the workload seed);
+    ``max_p99_ms`` caps the client wall p99.
     """
-    if replicas < 2:
-        raise ValueError("gray chaos needs at least 2 replicas")
     config = config or ServeConfig(preload=list(spec.keys))
-    router_config = router_config or RouterConfig(
-        seed=spec.seed,
-        probe_interval_s=0.05,
-        slow_windows=2,
-        hedge_rate_cap=1.0,
-        hedge_min_samples=16,
-    )
-    digest_before = _requests_digest(spec)
     lanes = [FleetRouter.lane(k.canonical(), bool(config.int8))
              for k in spec.keys]
-
-    async def spawn_fleet():
-        supervisor = FleetSupervisor(base_config=config, mode="inproc")
-        endpoints = [await supervisor.spawn() for _ in range(replicas)]
-        router = FleetRouter(endpoints, router_config)
-        await router.start()
-        return supervisor, router
-
-    # ---- phase 1: healthy baseline (same spec, no faults) ----------------
-    clear_plan()
-    supervisor, router = await spawn_fleet()
-    client = RemoteClient("127.0.0.1", router.port,
-                          timeout_s=client_timeout_s, seed=spec.seed)
-    # Client-observed wall latency, not the replicas' total_ms: a replica
-    # clocks admission → response, and the stalled hop lives in the router
-    # *before* admission — on server clocks the gray failure is invisible.
-    baseline_wall: List[float] = []
-
-    async def timed_submit(request):
-        t0 = time.perf_counter()
-        response = await client.submit(request)
-        baseline_wall.append((time.perf_counter() - t0) * 1000.0)
-        return response
-
-    try:
-        await client.connect()
-        baseline = await run_workload(timed_submit, spec)
-    finally:
-        await client.close()
-        await router.stop()
-        await supervisor.stop()
-
-    baseline_wall.sort()
-    baseline_wall_p50 = percentile(baseline_wall, 50.0)
-    baseline_wall_p99 = percentile(baseline_wall, 99.0)
-    stall_ms = max(stall_floor_ms, stall_mult * baseline_wall_p50)
-
-    # ---- phase 2: same workload with one replica's hop stalled -----------
-    # Fresh fleet, same seeds: replica ids and ring placement repeat, so
-    # the victim (owner of the first lane) is the same replica id the
-    # baseline placed there.  The stall begins only after the router has
-    # enough forward samples to derive a hedge delay.
-    before = {name: _counter(name) for name in (
-        "fleet.hedges", "fleet.hedge_wins", "fleet.hedge_losses",
-        "fleet.slow_detections", "faults.injected.fleet.forward",
-    )}
-    supervisor, router = await spawn_fleet()
-    victim = router.ring.assignment(lanes)[lanes[0]]
-    stall_after = max(router_config.hedge_min_samples + 8,
-                      int(spec.requests * 0.15))
-    install_plan(FaultPlan(seed=spec.seed, faults=[
-        FaultSpec(point="fleet.forward", kind="stall", probability=1.0,
-                  max_fires=None, after=stall_after, delay_ms=stall_ms,
-                  tag=victim),
-    ]))
-    _log.info("gray chaos starting", replicas=replicas, victim=victim,
-              stall_ms=round(stall_ms, 1), stall_after=stall_after,
-              requests=spec.requests)
-
+    digest = requests_digest(spec)
+    supervisor = FleetSupervisor(base_config=config, mode="inproc")
+    ids = [supervisor.next_replica_id() for _ in range(scenario.replicas)]
+    router_config = (replace(scenario.router, seed=spec.seed)
+                     if scenario.router is not None else None)
+    if router_config is None:
+        placement = {lane: ids[0] for lane in lanes}
+    else:
+        # The router builds the same ring: placement is a pure function
+        # of (seed, replica ids, lane), so the victim is known before
+        # the replicas start — the plan must be live for their startup.
+        placement = HashRing(ids, vnodes=router_config.vnodes,
+                             seed=router_config.seed).assignment(lanes)
+    victim = placement[lanes[0]]
+    plan = scenario.plan(spec.seed if fault_seed is None else fault_seed,
+                         victim)
+    previous = current_injector()
+    injector = install_plan(plan)
+    before = {name: _counter(c) for name, c in _COUNTERS.items()}
+    observed: Dict[str, float] = {}
+    wall: List[float] = []
     answered: Dict[int, int] = {}
-    gray_wall: List[float] = []
-    client = RemoteClient("127.0.0.1", router.port,
-                          timeout_s=client_timeout_s, seed=spec.seed)
-
-    async def submit(request):
-        t0 = time.perf_counter()
-        response = await client.submit(request)
-        gray_wall.append((time.perf_counter() - t0) * 1000.0)
-        answered[response.request_id] = answered.get(response.request_id,
-                                                     0) + 1
-        return response
-
+    kill_after = (max(1, int(spec.requests * KILL_FRACTION))
+                  if scenario.kill else 0)
+    kill_task: Optional[asyncio.Task] = None
+    router: Optional[FleetRouter] = None
+    _log.info("chaos drill starting", drill=scenario.name, victim=victim,
+              replicas=scenario.replicas, requests=spec.requests,
+              plan=plan.fingerprint()[:12] if plan else None)
     try:
-        await client.connect()
-        gray = await run_workload(submit, spec)
+        endpoints = [await supervisor.spawn(replica_id=rid) for rid in ids]
+        servers = [h.server for h in supervisor.replicas.values()]
+        target = endpoints[0]
+        if router_config is not None:
+            router = FleetRouter(endpoints, router_config)
+            await router.start()
+            target = replace(target, port=router.port)
+        client = RemoteClient(target.host, target.port,
+                              timeout_s=CLIENT_TIMEOUT_S,
+                              retries=scenario.client_retries,
+                              seed=spec.seed)
 
-        # ---- phase 3: warm-gated scale-up under the same router ----------
-        # The stall plan is cleared first: the scale-up assertions are
-        # about cold plans, not about the stalled victim.
-        clear_plan()
-        # No preload: the warm-up itself must build/compile everything the
-        # lanes need — which is exactly what makes the zero-delta check
-        # below non-vacuous (an unwarmed replica's first request would
-        # have to build, and the builds counter would say so).
-        endpoint = await supervisor.spawn(
-            config=replace(config, preload=[], require_warmup=True))
-        router.add_replica(endpoint)
-        await router.probe_once()
-        cold_link = router.links[endpoint.replica_id]
+        async def submit(request):
+            nonlocal kill_task
+            t0 = time.perf_counter()
+            response = await client.submit(request)
+            wall.append((time.perf_counter() - t0) * 1000.0)
+            answered[response.request_id] = (
+                answered.get(response.request_id, 0) + 1)
+            if kill_task is not None:
+                observed["ok_after_kill"] += int(response.ok)
+            elif kill_after and len(wall) >= kill_after:
+                # The router must discover the death through failed
+                # forwards and probes: membership is not touched here.
+                observed.update(killed_at=len(wall), ok_after_kill=0)
+                kill_task = asyncio.create_task(supervisor.kill(victim))
+            return response
 
-        # Traffic against the gate: the STARTING replica must see none.
-        for request in build_requests(replace(
-                spec, requests=max(4, scale_up_requests // 2))):
-            await client.submit(request)
-        starting_served = cold_link.ok
-
-        warm_report = await warm_replica(router, endpoint.replica_id,
-                                         lanes=lane_specs(config))
-        gate_ready = cold_link.health.usable
-
-        builds0 = _counter("serve.registry.builds")
-        plans0 = _counter("runtime.plans")
-        post_ok = 0
-        # Through the router AND straight at the new replica — the direct
-        # client guarantees the freshly-warmed replica actually executes
-        # post-scale-up requests, making "zero cold builds" a statement
-        # about it and not about routing luck.
-        direct = RemoteClient(endpoint.host, endpoint.port,
-                              timeout_s=client_timeout_s, seed=spec.seed)
         try:
-            await direct.connect()
-            for request in build_requests(replace(spec,
-                                                  requests=scale_up_requests,
-                                                  seed=spec.seed + 1)):
-                post_ok += int((await direct.submit(request)).ok)
-            for request in build_requests(replace(spec,
-                                                  requests=scale_up_requests,
-                                                  seed=spec.seed + 2)):
-                post_ok += int((await client.submit(request)).ok)
+            await client.connect()
+            feeder = (asyncio.create_task(
+                _garbage_feeder(target.host, target.port))
+                if scenario.garbage else None)
+            report = await run_workload(submit, spec)
+            if kill_task is not None:
+                await kill_task
+            # Let forwards still stalled behind the workload land: SLOW
+            # detection only sees completed forwards.
+            await asyncio.sleep(scenario.stall_ms / 1000.0)
+            if feeder is not None:
+                observed["garbage_answered"] = float(
+                    await _side_task_ok(feeder))
+            if router is None:
+                report.attach_alerts(servers[0].alerts())
+                placement_after = placement
+            else:
+                await router.probe_once()  # settle the victim's state
+                placement_after = router.ring.assignment(lanes)
+            health = await client.health()
+            if scenario.scale_up:
+                install_plan(None)  # the scale-up is about cold plans
+                observed.update(await _scale_up(
+                    supervisor, router, client, config, spec))
         finally:
-            await direct.close()
-        cold_builds = int(_counter("serve.registry.builds") - builds0)
-        cold_plans = int(_counter("runtime.plans") - plans0)
+            await client.close()
     finally:
-        clear_plan()
-        await client.close()
-        await router.stop()
+        install_plan(previous.plan if previous is not None else None)
+        if router is not None:
+            await router.stop()
         await supervisor.stop()
 
-    gray_wall.sort()
-    report = GrayChaosReport(
-        baseline=baseline,
-        gray=gray,
-        baseline_wall_p50_ms=baseline_wall_p50,
-        baseline_wall_p99_ms=baseline_wall_p99,
-        gray_wall_p99_ms=percentile(gray_wall, 99.0),
-        requests_digest=digest_before,
-        replay_digest=_requests_digest(spec),
-        replicas=replicas,
+    observed.update({name: _counter(c) - before[name]
+                     for name, c in _COUNTERS.items()})
+    observed["duplicates"] = sum(1 for n in answered.values() if n > 1)
+    taken = [s.snapshots.ring.taken for s in servers
+             if s.snapshots is not None]
+    if taken:
+        observed["snapshots"] = min(taken)
+    faults = ({point: info["fired"]
+               for point, info in injector.snapshot().items()
+               if info["fired"]} if injector is not None else {})
+    if kill_task is not None:
+        faults["replica.kill"] = 1
+    wall.sort()
+    drill = DrillReport(
+        scenario=scenario,
+        report=report,
+        wall_p99_ms=percentile(wall, 99.0),
+        requests_digest=digest,
+        replay_digest=requests_digest(spec),
+        plan_fingerprint=plan.fingerprint() if plan else "",
         victim=victim,
-        stall_ms=stall_ms,
-        stalls_fired=int(_counter("faults.injected.fleet.forward")
-                         - before["faults.injected.fleet.forward"]),
-        duplicates=sum(1 for count in answered.values() if count > 1),
-        slow_detections=int(_counter("fleet.slow_detections")
-                            - before["fleet.slow_detections"]),
-        hedges=int(_counter("fleet.hedges") - before["fleet.hedges"]),
-        hedge_wins=int(_counter("fleet.hedge_wins")
-                       - before["fleet.hedge_wins"]),
-        hedge_losses=int(_counter("fleet.hedge_losses")
-                         - before["fleet.hedge_losses"]),
-        scale_up_replica=endpoint.replica_id,
-        starting_served=starting_served,
-        gate_ready_after_warm=gate_ready,
-        warmed_lanes=int(warm_report.get("warmed", 0)),
-        cold_builds=cold_builds,
-        cold_plans=cold_plans,
-        post_scale_ok=post_ok,
-        p99_factor=p99_factor,
-        p99_slack_ms=p99_slack_ms,
+        faults_fired=faults,
+        observed=observed,
+        health_after=health,
+        placement_before=placement,
+        placement_after=placement_after,
+        max_p99_ms=max_p99_ms,
     )
-    report.record()
-    return report
+    drill.record()
+    return drill
+
+
+async def _side_task_ok(task: asyncio.Task) -> bool:
+    """A finished side task's verdict; a crashed one is a finding."""
+    try:
+        return bool(await task)
+    except Exception as exc:
+        _log.warning("side task failed", error=f"{type(exc).__name__}: {exc}")
+        return False
+
+
+async def _scale_up(supervisor: FleetSupervisor, router: FleetRouter,
+                    client: RemoteClient, config: ServeConfig,
+                    spec: WorkloadSpec) -> Dict[str, float]:
+    """Warm-gated scale-up under the live router; its witnesses.
+
+    The new replica starts with an empty preload, so the warm-up itself
+    must build and compile every lane — which makes the zero-delta check
+    on ``serve.registry.builds`` / ``runtime.plans`` non-vacuous.
+    """
+    endpoint = await supervisor.spawn(
+        config=replace(config, preload=[], require_warmup=True))
+    router.add_replica(endpoint)
+    await router.probe_once()
+    cold_link = router.links[endpoint.replica_id]
+    # Traffic against the gate: the STARTING replica must see none.
+    for request in build_requests(replace(
+            spec, requests=SCALE_UP_REQUESTS // 2)):
+        await client.submit(request)
+    starting_served = cold_link.ok
+    warmed = await warm_replica(router, endpoint.replica_id,
+                                lanes=lane_specs(config))
+    gate_ready = cold_link.health.usable
+    builds0 = _counter("serve.registry.builds")
+    plans0 = _counter("runtime.plans")
+    post_ok = 0
+    # Straight at the new replica as well as through the router, so
+    # "zero cold builds" is about it and not about routing luck.
+    direct = RemoteClient(endpoint.host, endpoint.port,
+                          timeout_s=CLIENT_TIMEOUT_S, seed=spec.seed)
+    try:
+        await direct.connect()
+        for target, seed in ((direct, spec.seed + 1), (client, spec.seed + 2)):
+            for request in build_requests(replace(
+                    spec, requests=SCALE_UP_REQUESTS, seed=seed)):
+                post_ok += int((await target.submit(request)).ok)
+    finally:
+        await direct.close()
+    return {
+        "starting_served": float(starting_served),
+        "gate_ready": float(gate_ready),
+        "warmed_lanes": float(warmed.get("warmed", 0)),
+        "cold_builds": _counter("serve.registry.builds") - builds0,
+        "cold_plans": _counter("runtime.plans") - plans0,
+        "post_scale_ok": float(post_ok),
+    }
+
+
+async def _garbage_feeder(host: str, port: int, frames: int = 4) -> bool:
+    """Poke the transport with malformed + oversized lines.
+
+    ``True`` iff every bad frame got a structured error reply and the
+    connection still answered a well-formed op at the end.  An injected
+    ``transport.disconnect`` may land on *this* connection, so each
+    frame tolerates a reconnect — what is asserted is the structured
+    reply, not connection affinity.
+    """
+    reader = writer = None
+
+    async def close() -> None:
+        if writer is not None:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    async def reconnect() -> None:
+        nonlocal reader, writer
+        await close()
+        reader, writer = await asyncio.open_connection(host, port)
+
+    async def exchange(payload: bytes) -> Optional[dict]:
+        for _ in range(3):
+            try:
+                if writer is None or writer.is_closing():
+                    await reconnect()
+                writer.write(payload)
+                await writer.drain()
+                # An injected garbage frame may precede the real reply
+                # (transport.garbage) — skip unparseable lines.
+                for _skip in range(4):
+                    line = await asyncio.wait_for(reader.readline(),
+                                                  timeout=10.0)
+                    if not line:
+                        break
+                    try:
+                        return json.loads(line)
+                    except ValueError:
+                        continue
+            except (ConnectionError, asyncio.TimeoutError, OSError):
+                pass
+            await reconnect()
+        return None
+
+    answered = 0
+    try:
+        await reconnect()
+        payloads = [b"{this is not json]\n", b"[1, 2, 3]\n"] * frames
+        payloads.append(b"x" * (MAX_LINE_BYTES + 512) + b"\n")
+        for payload in payloads:
+            reply = await exchange(payload)
+            if (reply is not None and reply.get("status") == "error"
+                    and "bad request" in reply.get("error", "")):
+                answered += 1
+        pong = await exchange(b'{"op": "ping"}\n')
+        return (pong is not None and pong.get("op") == "pong"
+                and answered == len(payloads))
+    finally:
+        await close()

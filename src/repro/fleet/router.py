@@ -211,11 +211,13 @@ class FleetRouter:
         self._started = False
         self._metrics = get_registry()
         # Hedging state: recent forward latencies (fleet-wide) derive the
-        # hedge delay; routed/fired counts enforce the rate cap.
+        # hedge delay; routed/fired counts enforce the rate cap.  Reaped
+        # hedge losers stay out of the delay window (see hedge_delay_ms).
         self._forward_ms: Deque[float] = deque(maxlen=self.config.hedge_history)
         self._routed = 0
         self._hedges_fired = 0
         self._reap_tasks: set = set()
+        self._reaped: set = set()
         for endpoint in endpoints:
             self.add_replica(endpoint)
 
@@ -419,10 +421,12 @@ class FleetRouter:
 
         Ring preference gives the sticky primary and deterministic
         fallback order; the least-loaded usable replica is promoted to
-        the front when the primary's backlog crosses the spill bound.
-        A replica the probe loop has taken off the ring can still appear
-        usable for one pass (passive demotion races the probe) — filter
-        on health, not ring membership.
+        the front when the primary's backlog crosses the spill bound,
+        and the saturated primary drops to the back: it must not become
+        the next attempt or the hedge backup.  A replica the probe loop
+        has taken off the ring can still appear usable for one pass
+        (passive demotion races the probe) — filter on health, not ring
+        membership.
         """
         order = [
             self._links[rid]
@@ -451,7 +455,7 @@ class FleetRouter:
                 and spill.outstanding < order[0].outstanding):
             self._metrics.counter("fleet.spills").inc()
             order.remove(spill)
-            order.insert(0, spill)
+            order = [spill] + order[1:] + order[:1]
         return order[: self.config.max_attempts]
 
     async def _forward(
@@ -502,7 +506,8 @@ class FleetRouter:
         link.ok += 1
         link.observe_latency(ms)
         link.window_forwards += 1
-        self._forward_ms.append(ms)
+        if asyncio.current_task() not in self._reaped:
+            self._forward_ms.append(ms)
         link.health.record_forward_ok()
         return reply
 
@@ -513,13 +518,17 @@ class FleetRouter:
 
         The p95 of recent forwards (fleet-wide): ~5% of healthy requests
         would hedge naturally, which is what the rate cap is calibrated
-        to, while a gray-slow primary crosses it almost surely.  Clamped
-        from above at ``slow_factor × p50`` — once a gray replica's
-        stalled completions pollute the window, the raw p95 collapses
-        toward the stall itself and a p95-delayed hedge would wait out
-        the very latency it exists to cut; anything beyond the slow
-        bound is by definition an outlier, so there is no point waiting
-        longer than that before racing a backup.  Floored at
+        to, while a gray-slow primary crosses it almost surely.  The
+        window holds forwards whose answer was used or that lost no race:
+        a reaped hedge loser's completion (a stalled primary landing
+        long after its backup won, or a cancelled copy) says nothing
+        about how long an answer takes.  Clamped from above at
+        ``slow_factor × p50`` — once a gray replica's unhedged stalled
+        completions pollute the window, the raw p95 collapses toward the
+        stall itself and a p95-delayed hedge would wait out the very
+        latency it exists to cut; anything beyond the slow bound is by
+        definition an outlier, so there is no point waiting longer than
+        that before racing a backup.  Floored at
         ``hedge_floor_ms`` so microsecond-fast fleets do not hedge on
         scheduler jitter.  Infinite until enough samples exist.
         """
@@ -566,6 +575,8 @@ class FleetRouter:
                 pass
 
         self._metrics.counter("fleet.hedge_cancels").inc()
+        self._reaped.add(task)
+        task.add_done_callback(self._reaped.discard)
         reaper = asyncio.create_task(reap())
         self._reap_tasks.add(reaper)
         reaper.add_done_callback(self._reap_tasks.discard)
@@ -597,9 +608,12 @@ class FleetRouter:
             return reply, primary, False
         except asyncio.TimeoutError:
             if primary_task.done():
-                # The *forward's own* timeout, not the hedge delay
-                # (TimeoutError is ambiguous between the two): a plain
-                # failure — reroute, no hedge.
+                # The primary settled as the delay expired: either it
+                # answered (keep the answer) or the *forward's own*
+                # timeout fired (TimeoutError is ambiguous between the
+                # two) — a plain failure: reroute, no hedge.
+                if primary_task.exception() is None:
+                    return primary_task.result(), primary, False
                 return None, None, False
         except (ConnectionError, OSError, RuntimeError):
             return None, None, False

@@ -4,7 +4,7 @@ The supervisor owns the replicas so the router does not have to — the
 router only sees :class:`~repro.fleet.health.ReplicaEndpoint` addresses
 and learns everything else from probes.  Two modes:
 
-* **inproc** (default for tests, chaos, and the smoke benchmark) — each
+* **inproc** (default for tests and the chaos drills) — each
   replica is a full :class:`~repro.serve.server.InferenceServer` plus a
   real TCP listener *in this process*.  Replicas still talk JSON lines
   over loopback sockets, so the router path under test is byte-for-byte
@@ -19,7 +19,7 @@ and learns everything else from probes.  Two modes:
 
 ``kill()`` is deliberately violent in both modes: connections are
 aborted (RST, not FIN) and queued work is dropped without drain, because
-the fleet chaos suite (:mod:`repro.fleet.chaos`) needs a realistic crash
+the kill drill (:mod:`repro.fleet.chaos`) needs a realistic crash
 for the router to reroute around.  ``drain()`` is the graceful opposite
 used by the autoscaler's scale-down path.
 """

@@ -17,24 +17,29 @@ The subsystem that turns the offline toolkit into a request path:
 * :mod:`repro.serve.loadgen` — deterministic closed/open-loop load
   generation and the benchmark report;
 * :mod:`repro.serve.resilience` — circuit breaker and retry policy;
-* :mod:`repro.serve.chaos` — seeded chaos runs over :mod:`repro.faults`;
 * :mod:`repro.serve.top` — the live ``repro top`` terminal view over the
   ``op: metrics`` telemetry scrape.
 
 Observability (``docs/observability.md``): every request carries a
-:class:`~repro.obs.context.SpanContext` across the wire, so a loadgen or
-chaos run exports one Perfetto timeline of linked
-client→transport→admit→queue→batch→engine spans, and the server feeds a
-snapshot ring that serves live QPS/latency/shed/burn-rate telemetry.
+:class:`~repro.obs.context.SpanContext` across the wire, so a loadgen run
+or chaos drill (:mod:`repro.fleet.chaos`) exports one Perfetto timeline
+of linked client→transport→admit→queue→batch→engine spans, and the
+server feeds a snapshot ring that serves live QPS/latency/shed/burn-rate
+telemetry.
 
 See ``docs/serving.md`` for the architecture and an example session, and
 ``docs/robustness.md`` for the fault-injection and resilience story.
 """
 
 from .batcher import Batch, Pending, PendingStore
-from .chaos import ChaosReport, default_chaos_plan, run_chaos
 from .costmodel import BatchCostModel
-from .loadgen import LoadReport, WorkloadSpec, build_requests, run_workload
+from .loadgen import (
+    LoadReport,
+    WorkloadSpec,
+    build_requests,
+    requests_digest,
+    run_workload,
+)
 from .registry import ModelRegistry, RegisteredModel
 from .request import (
     InferenceRequest,
@@ -66,6 +71,7 @@ __all__ = [
     "LoadReport",
     "WorkloadSpec",
     "build_requests",
+    "requests_digest",
     "run_workload",
     "ModelRegistry",
     "RegisteredModel",
@@ -80,9 +86,6 @@ __all__ = [
     "ServeConfig",
     "CircuitBreaker",
     "RetryPolicy",
-    "ChaosReport",
-    "default_chaos_plan",
-    "run_chaos",
     "MAX_LINE_BYTES",
     "RemoteClient",
     "request_from_wire",

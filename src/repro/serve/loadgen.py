@@ -24,6 +24,7 @@ sidecars carry the numbers in ``repro.metrics/v1`` form.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
@@ -40,6 +41,7 @@ __all__ = [
     "LoadReport",
     "RampStep",
     "build_requests",
+    "requests_digest",
     "run_workload",
     "saturation_qps",
 ]
@@ -66,7 +68,7 @@ class WorkloadSpec:
     #: arriving at the i-th rate of ``linspace(start, end, steps)``.
     #: Implies (and requires) ``mode="open"``; the *stream* is unchanged
     #: — ramping only reshapes arrival times, so replay fingerprints
-    #: (:func:`repro.serve.chaos._requests_digest`) are ramp-invariant.
+    #: (:func:`requests_digest`) are ramp-invariant.
     ramp: Optional[Tuple[float, float, int]] = None
 
     def __post_init__(self) -> None:
@@ -109,6 +111,14 @@ def build_requests(spec: WorkloadSpec) -> List[InferenceRequest]:
         )
         for i in range(spec.requests)
     ]
+
+
+def requests_digest(spec: WorkloadSpec) -> str:
+    """SHA-256 over the spec's request stream (the drills' replay proof)."""
+    h = hashlib.sha256()
+    for r in build_requests(spec):
+        h.update(f"{r.key.canonical()}|{r.input_seed}|{r.priority}\n".encode())
+    return h.hexdigest()
 
 
 # ------------------------------------------------------------------ drivers

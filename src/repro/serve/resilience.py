@@ -14,8 +14,9 @@
   identically.
 
 Both are dependency-free and thread-safe; the serving layer wires them in
-(:mod:`repro.serve.workers`, :mod:`repro.serve.transport`) and chaos mode
-(:mod:`repro.serve.chaos`) exercises them under injected faults.
+(:mod:`repro.serve.workers`, :mod:`repro.serve.transport`) and the
+``serve`` chaos drill (:mod:`repro.fleet.chaos`) exercises them under
+injected faults.
 """
 
 from __future__ import annotations

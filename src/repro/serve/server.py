@@ -33,7 +33,7 @@ from ..obs.expose import ExpositionServer, render_exposition
 from ..obs.snapshots import LiveStats, SnapshotLoop, derive_live
 from ..systolic import ArrayConfig
 from .costmodel import BatchCostModel
-from .registry import ModelRegistry
+from .registry import ModelRegistry, RegisteredModel
 from .request import InferenceRequest, InferenceResponse, ModelKey
 from .scheduler import SLOScheduler
 from .workers import ENGINES, WorkerPool
@@ -134,7 +134,12 @@ class InferenceServer:
         if self._started:
             return self
         if self.config.preload:
-            await asyncio.to_thread(self.registry.preload, self.config.preload)
+            def preload() -> None:
+                self.registry.preload(self.config.preload)
+                for key in self.config.preload:
+                    self._price_batches(self.registry.get(key))
+
+            await asyncio.to_thread(preload)
         self.pool.start()
         if self.config.telemetry:
             self._snapshots = SnapshotLoop(
@@ -224,9 +229,10 @@ class InferenceServer:
         plan flavors the serving path will request are compiled (exact@1
         under ``bitexact``, folded at batch 1/``max_batch`` otherwise,
         the int8 plan — including its compile-time calibration — for int8
-        lanes).  Runs off-loop; flips the warm-up gate so ``health()``
-        reports ready.  Idempotent — re-warming a warm lane hits the plan
-        cache and costs nothing.
+        lanes), and the cost model prices every batch size.  Runs
+        off-loop; flips the warm-up gate so ``health()`` reports ready.
+        Idempotent — re-warming a warm lane hits the plan cache and costs
+        nothing.
         """
         specs = self._warm_lanes(lanes)
         start = time.perf_counter()
@@ -237,6 +243,7 @@ class InferenceServer:
                 model = self.registry.get(key)
                 for batch, kwargs in self._warm_shapes(int8):
                     model.plan_for(batch, **kwargs)
+                self._price_batches(model)
                 warmed.append(key.canonical() + ("|int8" if int8 else ""))
             return warmed
 
@@ -251,6 +258,17 @@ class InferenceServer:
                   ms=f"{warmup_ms:.1f}")
         return {"warmed": len(warmed), "lanes": warmed,
                 "warmup_ms": round(warmup_ms, 3)}
+
+    def _price_batches(self, model: RegisteredModel) -> None:
+        """Price every batch size of ``model`` off the event loop.
+
+        The scheduler sizes each batch with the cost model, and an
+        unpriced size runs the analytical model inline: a replica's first
+        batch would block its loop (and, in one process, every replica's)
+        for tens of milliseconds.
+        """
+        for batch in range(1, self.config.max_batch + 1):
+            self.cost_model.simulated_ms(model, batch)
 
     def _warm_lanes(self, lanes: Optional[List[dict]]) -> List[tuple]:
         """Normalize wire lane specs → ``[(ModelKey, int8), ...]``."""

@@ -411,6 +411,10 @@ class RemoteClient:
             except ValueError:
                 get_registry().counter("serve.client.bad_lines").inc()
                 continue
+            except (ConnectionError, OSError):
+                # A reset or a failed write (the stream reader inherits
+                # the transport's error) ends the connection like EOF.
+                line = None
             if line is None:
                 failed = ConnectionError("server closed connection")
                 for future in self._pending.values():

@@ -102,6 +102,84 @@ class TestHedgeCap:
         assert not router._hedge_allowed(primary)
 
 
+class TestHedgeRace:
+    def test_primary_answer_as_the_delay_expires_is_kept(self):
+        # The primary can settle in the loop pass where the hedge delay
+        # expires.  Its answer must be returned, not taken for a failed
+        # forward: the caller would drop it and reroute the request.
+        router = _router()
+        primary = router.add_replica(ReplicaEndpoint("r0", "127.0.0.1", 1))
+        backup = router.add_replica(ReplicaEndpoint("r1", "127.0.0.1", 2))
+        answer = {"status": Status.OK.value}
+
+        async def forward(link, request, envelope, received, budget0):
+            return answer
+
+        router._forward = forward
+        router.hedge_delay_ms = lambda: 0.0
+        reply, served, fired = asyncio.run(router._forward_hedged(
+            InferenceRequest(key=KEY), {}, primary, backup, 0.0, None))
+        assert (reply, served, fired) == (answer, primary, False)
+
+
+class _StubClient:
+    """Stands in for a replica link's RemoteClient: answers after a delay."""
+
+    def __init__(self, delay_s: float) -> None:
+        self.delay_s = delay_s
+
+    async def request(self, request, return_output=False, timings=False):
+        await asyncio.sleep(self.delay_s)
+        return {"status": Status.OK.value}
+
+    async def cancel(self, request_id):
+        return None
+
+
+class TestHedgeWindow:
+    def test_reaped_loser_stays_out_of_the_delay_window(self):
+        # A stalled primary that lost the race lands long after its
+        # backup answered.  Counting it would drag the hedge delay
+        # toward the stall; it must still reach the replica's own
+        # latency accounting, which SLOW detection reads.
+        router = _router()
+        primary = router.add_replica(ReplicaEndpoint("r0", "127.0.0.1", 1))
+        backup = router.add_replica(ReplicaEndpoint("r1", "127.0.0.1", 2))
+        primary.client = _StubClient(0.2)
+        backup.client = _StubClient(0.0)
+        router.hedge_delay_ms = lambda: 10.0
+
+        async def main():
+            result = await router._forward_hedged(
+                InferenceRequest(key=KEY), {}, primary, backup, 0.0, None)
+            await asyncio.gather(*router._reap_tasks)
+            return result
+
+        reply, served, fired = asyncio.run(main())
+        assert served is backup and fired
+        assert len(router._forward_ms) == 1
+        assert router._forward_ms[0] < 100.0
+        assert primary.ok == 1 and primary.ewma_ms >= 200.0
+        assert not router._reaped
+
+    def test_spill_drops_the_saturated_primary_to_the_back(self):
+        # A primary over the spill bound (for example a stalled replica
+        # still holding reaped hedge losers) must become neither the next
+        # attempt nor the hedge backup of the promoted replica.
+        router = _router(spill_outstanding=8)
+        links = [router.add_replica(ReplicaEndpoint(f"r{i}", "127.0.0.1", i))
+                 for i in range(3)]
+        for link in links:
+            link.health.record_probe(True)
+        lane = FleetRouter.lane(KEY.canonical(), False)
+        primary = router.candidates(lane)[0]
+        primary.outstanding = 8
+        order = router.candidates(lane)
+        assert len(order) == 3
+        assert order[0] is not primary
+        assert order[-1] is primary
+
+
 class TestHedgeProperties:
     def test_exactly_once_responses_and_accounting_identity(self):
         # Property run: stall the lane's primary so hedges actually

@@ -12,8 +12,7 @@ from repro.serve import (
     WorkloadSpec,
     run_workload,
 )
-from repro.serve.chaos import _requests_digest
-from repro.serve.loadgen import RampStep, saturation_qps
+from repro.serve.loadgen import RampStep, requests_digest, saturation_qps
 from repro.serve.server import InferenceServer
 
 KEY = ModelKey("mobilenet_v3_small", resolution=32)
@@ -49,7 +48,7 @@ class TestSpec:
                              rate=100.0)
         ramped = WorkloadSpec(keys=[KEY], requests=60, seed=5, mode="open",
                               ramp=(10, 100, 3))
-        assert _requests_digest(plain) == _requests_digest(ramped)
+        assert requests_digest(plain) == requests_digest(ramped)
 
 
 class TestSaturation:

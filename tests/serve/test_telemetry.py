@@ -10,8 +10,8 @@ import pytest
 from repro.obs.alerts import Alert
 from repro.obs.expose import parse_exposition
 from repro.obs.snapshots import LiveStats
+from repro.fleet.chaos import SERVE, DrillReport
 from repro.serve import (
-    ChaosReport,
     InferenceRequest,
     InferenceServer,
     LoadReport,
@@ -189,17 +189,18 @@ class TestChaosTelemetryBound:
             mean_simulated_ms=0.0, mode="closed",
         )
 
-    def _chaos(self, snapshots: int) -> ChaosReport:
-        return ChaosReport(
+    def _chaos(self, snapshots: int) -> DrillReport:
+        return DrillReport(
+            scenario=SERVE,
             report=self._report(),
-            plan_fingerprint="f" * 16,
+            wall_p99_ms=1.0,
             requests_digest="d" * 16,
-            faults_injected={"serve.engine": 1},
-            resilience={},
+            replay_digest="d" * 16,
+            plan_fingerprint="f" * 16,
+            victim="r0",
+            faults_fired={"serve.engine": 1},
+            observed={"garbage_answered": 1.0, "snapshots": snapshots},
             health_after={"ready": True},
-            garbage_answered=True,
-            telemetry_enabled=True,
-            telemetry_snapshots=snapshots,
         )
 
     def test_stalled_snapshot_loop_fails_the_chaos_bounds(self):
@@ -209,7 +210,7 @@ class TestChaosTelemetryBound:
     def test_advancing_snapshot_loop_passes(self):
         chaos = self._chaos(snapshots=5)
         assert chaos.check() == []
-        assert "telemetry   : 5 snapshots" in chaos.render()
+        assert "snapshots=5" in chaos.render()
 
     def test_loadgen_report_renders_attached_alerts(self):
         report = self._report()

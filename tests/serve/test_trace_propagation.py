@@ -15,6 +15,7 @@ import asyncio
 import pytest
 
 from repro.faults import clear_plan
+from repro.fleet.chaos import SERVE, run_drill
 from repro.obs import get_tracer
 from repro.obs.tracing import span_topology, trace_chains
 from repro.serve import (
@@ -24,7 +25,6 @@ from repro.serve import (
     RemoteClient,
     ServeConfig,
     WorkloadSpec,
-    run_chaos,
     run_workload,
     serve_tcp,
 )
@@ -159,8 +159,8 @@ class TestChaosCompleteness:
         clear_plan()
         spec = WorkloadSpec(keys=[KEY], requests=60, clients=4, seed=0)
         try:
-            chaos = asyncio.run(run_chaos(
-                spec, config=_config(workers=2), client_timeout_s=20.0,
+            chaos = asyncio.run(run_drill(
+                SERVE, spec, config=_config(workers=2),
             ))
         finally:
             clear_plan()

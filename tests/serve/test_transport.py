@@ -235,6 +235,33 @@ class TestTransportHardening:
         # and every request still resolved OK.
         assert [r.status for r in responses] == [Status.OK] * 4
 
+    def test_connection_error_fails_pending_and_close_is_clean(self):
+        # A reset or a failed write hands the transport's error to the
+        # client's stream reader.  The read loop must take it as a lost
+        # connection: fail the in-flight request now, not after its
+        # timeout, and let close() finish without re-raising it.
+        async def main():
+            async def hold(reader, writer):
+                await reader.read()  # never answers
+                writer.close()
+
+            tcp = await asyncio.start_server(hold, "127.0.0.1", 0)
+            port = tcp.sockets[0].getsockname()[1]
+            client = await RemoteClient("127.0.0.1", port,
+                                        timeout_s=30.0).connect()
+            try:
+                pending = asyncio.ensure_future(client.health())
+                await asyncio.sleep(0.05)
+                client._reader.set_exception(BrokenPipeError())
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(pending, 5.0)
+            finally:
+                await client.close()
+                tcp.close()
+                await tcp.wait_closed()
+
+        asyncio.run(main())
+
     def test_client_timeout_produces_error_response(self):
         from repro.faults import FaultPlan, FaultSpec, clear_plan, install_plan
 
