@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pip + pytest underneath.
 
-.PHONY: install dev test trace-smoke bench-smoke serve-smoke compile-smoke quantize-smoke sparsity-smoke chaos-smoke telemetry-smoke fleet-smoke gray-smoke bench results examples clean
+.PHONY: install dev test trace-smoke bench-smoke serve-smoke chaos-smoke telemetry-smoke fleet-smoke gray-smoke bench results examples clean
 
 install:
 	pip install -e .
@@ -10,7 +10,7 @@ dev:
 
 # The benchmark's own tests run as a separate session: perfbench/tests
 # puts the benchmark's modules on sys.path.
-test: trace-smoke bench-smoke serve-smoke compile-smoke quantize-smoke sparsity-smoke chaos-smoke telemetry-smoke fleet-smoke gray-smoke
+test: trace-smoke bench-smoke serve-smoke chaos-smoke telemetry-smoke fleet-smoke gray-smoke
 	pytest tests/
 	pytest perfbench/tests
 
@@ -108,31 +108,6 @@ gray-smoke:
 	timeout 300 python -m repro loadgen mobilenet_v3_small --resolution 32 \
 		--requests 120 --clients 4 --engine analytical --slo-ms 30000 \
 		--gray --check --quiet
-
-# Compiled-runtime smoke (docs/runtime.md): the exact plan must stay
-# bit-identical to eager, the folded plan within 1e-4, and faster than
-# eager (the full >=2x claim is asserted by bench_compile.py under
-# pytest-benchmark; the smoke floor tolerates loaded CI hosts).  Writes
-# benchmarks/results/BENCH_compile.json.
-compile-smoke:
-	timeout 180 python benchmarks/bench_compile.py --smoke
-
-# Int8 quantization smoke (docs/runtime.md): trains V3-Small on the
-# synthetic task (~1 min), calibrates the int8 plan on the training
-# batches, and gates the acceptance claims — >=1.3x over the folded
-# float plan at batch 8 with <=1pp top-1 drop on the held-out split.
-# Writes benchmarks/results/BENCH_quantize.json.
-quantize-smoke:
-	timeout 300 python benchmarks/bench_quantize.py --smoke
-
-# Sparsity + column-combining smoke (docs/performance.md): trains
-# V3-Small, prunes to 75% with the pass pipeline, fine-tunes under the
-# masks, and gates the acceptance claims — >=1.5x analytical packed
-# speedup at γ=8 on a 32x32 array, <=1pp top-1 drop after fine-tune,
-# and the γ=1 identity packing within 1% of the dense schedule.
-# Writes benchmarks/results/BENCH_sparsity.json.
-sparsity-smoke:
-	timeout 900 python benchmarks/bench_sparsity.py --smoke
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -373,11 +373,8 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def cmd_compile_stats(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .nn.compile import CompileConfig, compile_executor
     from .nn.graph import GraphExecutor
-    from .nn.tensor import Tensor
 
     if args.exact and args.int8:
         print("--exact and --int8 are mutually exclusive", file=sys.stderr)
@@ -440,29 +437,6 @@ def cmd_compile_stats(args: argparse.Namespace) -> int:
                 detail = ", ".join(f"{k}={v}" for k, v in r.details.items())
                 line += f"  ({detail})"
             print(line)
-    if args.bench:
-        x = np.random.default_rng(args.seed + 1).standard_normal(
-            plan.input_shape).astype(np.float32)
-        ref = executor(Tensor(x)).data
-        err = float(np.max(np.abs(
-            plan.run(x).astype(np.float64) - ref.astype(np.float64)
-        )))
-
-        def best_ms(fn) -> float:
-            times = []
-            for _ in range(args.bench):
-                t0 = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t0)
-            return min(times) * 1000.0
-
-        eager_ms = best_ms(lambda: executor(Tensor(x)))
-        plan_ms = best_ms(lambda: plan.run(x))
-        print(f"  eager        : {eager_ms:.2f} ms  (best of {args.bench})")
-        print(f"  plan         : {plan_ms:.2f} ms  "
-              f"({eager_ms / plan_ms:.2f}x)")
-        print(f"  max |err|    : {err:.3e}"
-              + ("  (bit-identical)" if err == 0.0 else ""))
     return 0
 
 
@@ -1021,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=8,
                    help="batch size the plan is compiled for (default 8)")
     p.add_argument("--seed", type=int, default=0,
-                   help="weight seed (and bench-input seed)")
+                   help="weight seed")
     p.add_argument("--int8", action="store_true",
                    help="compile the int8 quantized plan "
                         "(integer GEMMs; see docs/runtime.md)")
@@ -1037,9 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passes", action="store_true",
                    help="print the per-pass pipeline table (timing, params "
                         "removed, columns combined)")
-    p.add_argument("--bench", type=int, default=0, metavar="N",
-                   help="time N eager-vs-plan repeats and report the "
-                        "speedup and max abs error (default off)")
     p.set_defaults(fn=cmd_compile_stats)
 
     p = sub.add_parser("nos", help="per-layer operator search", parents=[common])

@@ -8,10 +8,8 @@ Instrumentation sites are one call:
   garbage) that implement the misbehavior themselves and only need the
   seeded firing decision.
 
-Both are near-free when no plan is installed: one module-global check and
-an early return, so the hot serving/simulation paths pay nothing in the
-fault-free production configuration (benchmarked against the
-``BENCH_compile`` baselines — see docs/robustness.md).
+With no plan installed, both cost one module-global check and an early
+return.
 
 A plan is installed explicitly (:func:`install_plan`, used by chaos mode
 and tests) or picked up once from ``$REPRO_FAULTS`` on the first fault

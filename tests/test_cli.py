@@ -113,3 +113,26 @@ class TestCli:
             "--array", "32", "--pipelined", "--variant", "half",
         ]) == 0
         assert "pipelined" in capsys.readouterr().out
+
+
+class TestCompileStats:
+    @pytest.mark.parametrize("flags, mode", [
+        ([], "compiled folded plan"),
+        (["--exact"], "compiled exact (bit-identical) plan"),
+        (["--int8"], "compiled int8 (quantized) plan"),
+        (["--sparsity", "0.75"], "compiled sparse (folded, target 75%, γ=8)"),
+        (["--sparsity", "0.75", "--int8"],
+         "compiled sparse (int8 (quantized), target 75%, γ=8)"),
+    ])
+    def test_mode_line(self, capsys, flags, mode):
+        assert main(["compile-stats", "mobilenet_v3_small", *flags]) == 0
+        out = capsys.readouterr().out
+        assert mode in out and "arena" in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--exact", "--int8"],
+        ["--exact", "--sparsity", "0.5"],
+    ])
+    def test_exact_excludes_other_presets(self, capsys, flags):
+        assert main(["compile-stats", "mobilenet_v3_small", *flags]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err

@@ -1,13 +1,17 @@
-"""Repository hygiene: compiled bytecode must never be tracked.
+"""Repository hygiene: no tracked bytecode, no stale doc pointers.
 
 PR 6 accidentally committed 98 ``__pycache__/*.pyc`` files.  This guard
 fails tier-1 if any compiled bytecode (or a ``__pycache__`` directory)
 ever lands in the git index again, and checks that ``.gitignore`` keeps
 ignoring the patterns that caused it.
+
+The user-facing docs cite Makefile targets and benchmark files by name;
+a deleted target or bench must take its citations with it.
 """
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -57,3 +61,31 @@ def test_gitignore_covers_bytecode(in_git_repo: None) -> None:
     patterns = {line.strip() for line in gitignore.read_text().splitlines()}
     assert "__pycache__/" in patterns
     assert "*.pyc" in patterns
+
+
+def _doc_files() -> list[Path]:
+    return [REPO_ROOT / "README.md", REPO_ROOT / "EXPERIMENTS.md",
+            *sorted((REPO_ROOT / "docs").glob("*.md"))]
+
+
+def test_docs_cite_existing_make_targets() -> None:
+    makefile = (REPO_ROOT / "Makefile").read_text()
+    targets = set(re.findall(r"^([\w.-]+)\s*:(?!=)", makefile, re.MULTILINE))
+    stale = [
+        f"{doc.relative_to(REPO_ROOT)}: make {target}"
+        for doc in _doc_files()
+        for command in re.findall(r"`make ([^`]*)`", doc.read_text())
+        for target in command.split()
+        if target not in targets
+    ]
+    assert not stale, "docs cite missing Makefile targets:\n" + "\n".join(stale)
+
+
+def test_docs_cite_existing_benchmark_files() -> None:
+    stale = [
+        f"{doc.relative_to(REPO_ROOT)}: {path}"
+        for doc in _doc_files()
+        for path in re.findall(r"benchmarks/[\w./-]*", doc.read_text())
+        if not (REPO_ROOT / path.rstrip(".")).exists()
+    ]
+    assert not stale, "docs cite missing benchmark files:\n" + "\n".join(stale)
