@@ -37,7 +37,8 @@ def _best_time(fn: Callable[[], object], repeats: int) -> float:
 
 
 def _workloads(size: int, seed: int) -> Dict[str, Callable[[SystolicArraySim], object]]:
-    """One representative multi-fold problem per dataflow.
+    """One representative multi-fold problem per dataflow, plus a
+    depthwise layer run as one stack of single-column OS GEMMs.
 
     Shapes are non-multiples of the array size on purpose so both full
     and remainder fold groups are exercised.
@@ -49,8 +50,13 @@ def _workloads(size: int, seed: int) -> Dict[str, Callable[[SystolicArraySim], o
     g, l_in, kernel = 2 * size + 9, 4 * size + 2, 3
     lines = rng.standard_normal((g, l_in))
     filters = rng.standard_normal((g, kernel))
+    # A depthwise layer: one single-column 3×3 GEMM per channel, stacked.
+    channels = 2 * size + 1
+    windows = rng.standard_normal((channels, m, 9))
+    taps = rng.standard_normal((channels, 9, 1))
     return {
         "os_gemm": lambda sim: sim.run_gemm(a, b),
+        "depthwise": lambda sim: sim.run_gemm(windows, taps),
         "ws_gemm": lambda sim: sim.run_ws_gemm(a, b),
         "is_gemm": lambda sim: sim.run_is_gemm(a, b),
         "conv1d_broadcast": lambda sim: sim.run_conv1d_broadcast(

@@ -76,20 +76,6 @@ def _conv1d_chunk_worker(task):
     return run.values, run.cycles
 
 
-def _depthwise_chunk_worker(task):
-    """Lower and run a chunk of depthwise channels in a worker process."""
-    array, engine, x_chunk, w_chunk, kernel_hw, stride_hw, padding = task
-    sim = SystolicArraySim(array, engine=engine)
-    outs = []
-    cycles = 0
-    for ch in range(x_chunk.shape[0]):
-        cols = im2col(x_chunk[ch:ch + 1], kernel_hw, stride_hw, padding)
-        run = sim.run_gemm(cols, w_chunk[ch].reshape(-1, 1))
-        outs.append(run.values.reshape(-1))
-        cycles += run.cycles
-    return np.stack(outs), cycles
-
-
 @dataclass
 class LayerRun:
     """Per-layer record of an array execution."""
@@ -130,12 +116,14 @@ class ArrayNetworkExecutor:
             simulation is slow on big grids).
         engine: simulator engine (``"vector"`` default / ``"reference"``),
             forwarded to :class:`SystolicArraySim`.
-        jobs: fan heavy layers (depthwise channel chunks, FuSe line banks,
-            large GEMMs) across this many worker processes via
+        jobs: fan large GEMMs (row chunks) and FuSe line banks (line
+            chunks) across this many worker processes via
             :mod:`repro.systolic.parallel`.  ``None`` → ``$REPRO_JOBS`` or
             1; ``0`` → all cores.  Chunk boundaries are always multiples
             of ``array.rows``, so fold shapes — and therefore values and
             cycle counts — are identical to the single-process run.
+            Depthwise layers never fan out: all their channels run as one
+            stacked GEMM call, too short to pay for a worker round trip.
         packing: a :class:`~repro.ir.packing.NetworkPacking` from the
             sparse compile pipeline.  Covered layers execute their
             column-combined schedule (packed GEMM columns, per-channel
@@ -247,21 +235,23 @@ class ArrayNetworkExecutor:
         return self.model.module_for(name).weight.data.astype(np.float64)
 
     def _gemm(self, a: np.ndarray, b: np.ndarray):
-        """``a @ b`` through the array, row-chunked across workers.
+        """``a @ b`` (one GEMM or a ``(G, M, K)`` stack) through the
+        array, row-chunked across workers.
 
         Chunks split the M axis at multiples of ``array.rows`` only
         (see :func:`_tile_chunks`), so values and cycles match the
         unchunked run exactly.
         """
-        m = a.shape[0]
+        m = a.shape[-2]
         if self.jobs > 1 and m > self.array.rows:
             chunks = _tile_chunks(m, self.array.rows, self.jobs)
             if len(chunks) > 1:
                 tasks = [
-                    (self.array, self.engine, a[s:e], b) for s, e in chunks
+                    (self.array, self.engine, a[..., s:e, :], b)
+                    for s, e in chunks
                 ]
                 parts = scatter(_gemm_chunk_worker, tasks, jobs=self.jobs)
-                values = np.concatenate([v for v, _ in parts], axis=0)
+                values = np.concatenate([v for v, _ in parts], axis=-2)
                 return values, sum(cyc for _, cyc in parts)
         run = self.sim.run_gemm(a, b)
         return run.values, run.cycles
@@ -287,100 +277,62 @@ class ArrayNetworkExecutor:
         w = self._weights(node.name)
         c_out, oh, ow = node.out_shape
         g = spec.groups
-        c_in = node.in_shape[0]
+        if packed is not None and g != 1:
+            raise ValueError(f"packed mapping on grouped conv {node.name!r}")
+        cols = im2col(x.astype(np.float64), spec.kernel_hw, spec.stride_hw,
+                      spec.padding)
         if packed is not None:
-            if g != 1:
-                raise ValueError(
-                    f"packed mapping on grouped conv {node.name!r}")
-            cols = im2col(x.astype(np.float64), spec.kernel_hw,
-                          spec.stride_hw, spec.padding)
             run = self.sim.run_packed_gemm(
                 cols, w.reshape(c_out, -1).T, packed)
             return run.values.T.reshape(c_out, oh, ow), run.cycles
-        cycles = 0
-        out = np.empty((c_out, oh, ow))
-        cg_in, cg_out = c_in // g, c_out // g
-        for gi in range(g):
-            cols = im2col(
-                x[gi * cg_in:(gi + 1) * cg_in].astype(np.float64),
-                spec.kernel_hw, spec.stride_hw, spec.padding,
-            )
-            wmat = w[gi * cg_out:(gi + 1) * cg_out].reshape(cg_out, -1)
-            values, gemm_cycles = self._gemm(cols, wmat.T)
-            out[gi * cg_out:(gi + 1) * cg_out] = values.T.reshape(cg_out, oh, ow)
-            cycles += gemm_cycles
-        return out, cycles
+        # Group gi multiplies its own input channels' window columns by its
+        # own filters; the groups share one shape, so they run as a stack.
+        a = cols.reshape(oh * ow, g, -1).transpose(1, 0, 2)
+        b = w.reshape(g, c_out // g, -1).transpose(0, 2, 1)
+        values, cycles = self._gemm(a, b)
+        return values.transpose(0, 2, 1).reshape(c_out, oh, ow), cycles
 
     def _depthwise(self, node, x, packed=None):
         spec = node.layer
-        w = self._weights(node.name)  # (C, 1, kh, kw)
         c, oh, ow = node.out_shape
-        if packed is not None:
-            # Per-channel live-tap schedule: each channel streams only the
-            # rows of its single-column GEMM whose weights survived the
-            # prune; all-zero channels produce zeros with no array cycles.
-            out = np.zeros((c, oh, ow))
-            cycles = 0
-            for ch in range(c):
-                wflat = w[ch].reshape(-1)
-                ke = packed.k_eff[ch]
-                if ke == packed.k:
-                    # Identity schedule (γ=1 keeps the full window): run
-                    # the dense single-column GEMM, zeros and all.
-                    cols = im2col(
-                        x[ch:ch + 1].astype(np.float64),
-                        spec.kernel_hw, spec.stride_hw, spec.padding,
-                    )
-                    run = self.sim.run_gemm(cols, wflat.reshape(-1, 1))
-                    out[ch] = run.values.reshape(oh, ow)
-                    cycles += run.cycles
-                    continue
-                support = np.flatnonzero(wflat)
-                if len(support) != ke:
-                    raise ValueError(
-                        f"depthwise packing of {node.name!r} expects "
-                        f"{ke} live taps on channel {ch}, weights have "
-                        f"{len(support)} — run apply_pruning with the "
-                        f"matching transform first")
-                if not len(support):
-                    continue
-                cols = im2col(
-                    x[ch:ch + 1].astype(np.float64),
-                    spec.kernel_hw, spec.stride_hw, spec.padding,
-                )
-                run = self.sim.run_gemm(
-                    np.ascontiguousarray(cols[:, support]),
-                    wflat[support].reshape(-1, 1),
-                )
-                out[ch] = run.values.reshape(oh, ow)
-                cycles += run.cycles
-            return out, cycles
-        if self.jobs > 1 and c > 1:
-            # Channels are independent single-column GEMMs — any chunking
-            # preserves the per-channel fold structure.
-            parts = min(self.jobs, c)
-            bounds = [round(i * c / parts) for i in range(parts + 1)]
-            tasks = [
-                (self.array, self.engine,
-                 x[bounds[i]:bounds[i + 1]].astype(np.float64),
-                 w[bounds[i]:bounds[i + 1]],
-                 spec.kernel_hw, spec.stride_hw, spec.padding)
-                for i in range(parts)
-            ]
-            results = scatter(_depthwise_chunk_worker, tasks, jobs=self.jobs)
-            out = np.concatenate([v for v, _ in results], axis=0)
-            return out.reshape(c, oh, ow), sum(cyc for _, cyc in results)
-        out = np.empty((c, oh, ow))
+        w = self._weights(node.name).reshape(c, -1)  # (C, kh·kw)
+        # Channel ch is the single-column GEMM of its own window columns
+        # (§III-B): (oh·ow, C, kh·kw) → a (C, oh·ow, kh·kw) stack.
+        cols = im2col(x.astype(np.float64), spec.kernel_hw, spec.stride_hw,
+                      spec.padding).reshape(oh * ow, c, -1).transpose(1, 0, 2)
+        if packed is None:
+            run = self.sim.run_gemm(cols, w[:, :, np.newaxis])
+            return run.values.reshape(c, oh, ow), run.cycles
+        # Per-channel live-tap schedule: each channel streams only the
+        # rows of its single-column GEMM whose weights survived the prune
+        # (γ=1 keeps the full window, zeros and all); channels with the
+        # same live-tap count run as one stack, and all-zero channels
+        # produce zeros with no array cycles.
+        k_eff = np.asarray(packed.k_eff)
+        live = w != 0
+        bad = (k_eff != packed.k) & (live.sum(axis=1) != k_eff)
+        if bad.any():
+            ch = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"depthwise packing of {node.name!r} expects "
+                f"{k_eff[ch]} live taps on channel {ch}, weights have "
+                f"{int(live[ch].sum())} — run apply_pruning with the "
+                f"matching transform first")
+        out = np.zeros((c, oh * ow))
         cycles = 0
-        for ch in range(c):
-            cols = im2col(
-                x[ch:ch + 1].astype(np.float64),
-                spec.kernel_hw, spec.stride_hw, spec.padding,
+        for ke in np.unique(k_eff[k_eff > 0]):
+            chans = np.flatnonzero(k_eff == ke)
+            # Each channel's live tap indices, ascending; a full-K channel
+            # streams every tap.
+            taps = np.nonzero(live[chans] | (ke == packed.k))[1] \
+                .reshape(len(chans), ke)
+            run = self.sim.run_gemm(
+                np.take_along_axis(cols[chans], taps[:, np.newaxis], axis=2),
+                np.take_along_axis(w[chans], taps, axis=1)[:, :, np.newaxis],
             )
-            run = self.sim.run_gemm(cols, w[ch].reshape(-1, 1))
-            out[ch] = run.values.reshape(oh, ow)
+            out[chans] = run.values.reshape(len(chans), -1)
             cycles += run.cycles
-        return out, cycles
+        return out.reshape(c, oh, ow), cycles
 
     def _pointwise(self, node, x, packed=None):
         w = self._weights(node.name)  # (C_out, C_in, 1, 1)

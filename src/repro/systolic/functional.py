@@ -33,6 +33,10 @@ Every dataflow exists in two interchangeable **engines**:
   from the same closed-form fold models the reference stepper asserts
   against.
 
+:meth:`SystolicArraySim.run_gemm` also takes a *stack* of G same-shape
+GEMMs — a depthwise layer is C independent single-column GEMMs (§III-B) —
+and replays them in one wavefront, costing G × the per-GEMM cycles.
+
 Both engines return the numerically-exact result *and* the measured cycle
 count; the test suite asserts the values match numpy, the cycles match the
 analytical model fold-for-fold, and the engines agree bit-for-bit on
@@ -54,6 +58,10 @@ from .gemm import FoldShape
 
 #: Valid values of the ``engine`` knob.
 ENGINES = ("vector", "reference")
+
+#: Elements in one block of wavefront products of the vector OS GEMM
+#: (a single step is never split, so a step larger than this is a block).
+_PRODUCT_BLOCK = 1 << 18
 
 
 @dataclass
@@ -88,10 +96,10 @@ def _spans(extent: int, tile: int) -> list:
     return out
 
 
-def _record_sim_op(op: str, folds: int, cycles: int) -> None:
-    """Count one simulated operation on the default metrics registry."""
+def _record_sim_op(op: str, folds: int, cycles: int, calls: int = 1) -> None:
+    """Count ``calls`` simulated operations on the default metrics registry."""
     registry = get_registry()
-    registry.counter(f"sim.{op}.calls").inc()
+    registry.counter(f"sim.{op}.calls").inc(calls)
     registry.counter(f"sim.{op}.folds").inc(folds)
     registry.counter(f"sim.{op}.cycles").inc(cycles)
 
@@ -128,68 +136,96 @@ class SystolicArraySim:
     # ------------------------------------------------------------------ GEMM
 
     def run_gemm(self, a: np.ndarray, b: np.ndarray) -> SimResult:
-        """Compute ``a @ b`` through the array, tiling into folds as needed."""
-        m, k = a.shape
-        k2, n = b.shape
-        if k != k2:
+        """Compute ``a @ b`` through the array, tiling into folds as needed.
+
+        ``a`` of shape ``(G, M, K)`` and ``b`` of shape ``(G, K, N)`` run
+        G independent same-shape GEMMs back to back: values are
+        ``(G, M, N)``, cycles are G × the per-GEMM fold sum, and the
+        ``sim.gemm.*`` counters count G calls — exactly as G separate
+        2-D calls would.
+        """
+        if a.ndim != b.ndim or a.ndim not in (2, 3) \
+                or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
             raise ValueError(f"GEMM shapes disagree: {a.shape} @ {b.shape}")
-        out = np.zeros((m, n), dtype=np.result_type(a, b))
+        stacked = a.ndim == 3
+        if not stacked:
+            a, b = a[np.newaxis], b[np.newaxis]
+        g, m, k = a.shape
+        n = b.shape[2]
+        out = np.zeros((g, m, n), dtype=np.result_type(a, b))
         cycles = 0
         folds = 0
-        with get_tracer().span("sim.gemm", category="sim", m=m, k=k, n=n,
-                               engine=self.engine) as sp:
+        with get_tracer().span("sim.gemm", category="sim", g=g, m=m, k=k,
+                               n=n, engine=self.engine) as sp:
             if self.engine == "vector":
                 cycles, folds = self._run_gemm_vector(a, b, out)
             else:
-                for m0 in range(0, m, self.array.rows):
-                    r = min(self.array.rows, m - m0)
-                    for n0 in range(0, n, self.array.cols):
-                        c = min(self.array.cols, n - n0)
-                        tile, tile_cycles = self._run_gemm_fold_reference(
-                            a[m0:m0 + r], b[:, n0:n0 + c]
-                        )
-                        out[m0:m0 + r, n0:n0 + c] = tile
-                        cycles += tile_cycles
-                        folds += 1
+                for gi in range(g):
+                    for m0 in range(0, m, self.array.rows):
+                        r = min(self.array.rows, m - m0)
+                        for n0 in range(0, n, self.array.cols):
+                            c = min(self.array.cols, n - n0)
+                            tile, tile_cycles = self._run_gemm_fold_reference(
+                                a[gi, m0:m0 + r], b[gi, :, n0:n0 + c]
+                            )
+                            out[gi, m0:m0 + r, n0:n0 + c] = tile
+                            cycles += tile_cycles
+                            folds += 1
             sp.set(folds=folds, cycles=cycles)
-        _record_sim_op("gemm", folds, cycles)
-        return SimResult(values=out, cycles=cycles)
+        _record_sim_op("gemm", folds, cycles, calls=g)
+        return SimResult(values=out if stacked else out[0], cycles=cycles)
 
     def _run_gemm_vector(self, a: np.ndarray, b: np.ndarray,
                          out: np.ndarray) -> Tuple[int, int]:
-        """Vectorized wavefront execution of a whole OS GEMM.
+        """Vectorized wavefront execution of a stack of OS GEMMs.
 
         PE ``(i, j)`` of a fold executes its step-``t`` MAC at cycle
         ``i + j + t``: the skew decides *when* products land, never which
         products nor their per-PE order (``t`` ascends everywhere), and
         the idle-edge zero injections of the reference machine add exactly
-        ``+0.0``.  So the machine state of *every fold of the same shape*
-        can be replayed together: one rank-1 wavefront update per step
-        ``t``, batched over all folds of the group — whole-array numpy
+        ``+0.0``.  So the machine state of *every fold of the same shape*,
+        across all G GEMMs of the stack, can be replayed together: one
+        rank-1 wavefront update per step ``t`` — whole-array numpy
         operations only, bit-identical to the scalar stepper (tested).
 
-        Returns ``(cycles, folds)``; fold outputs are scattered into
-        ``out`` (each fold owns a disjoint tile, as in the reference).
+        The products of a block of steps are formed by one broadcast
+        multiply into a buffer of at most :data:`_PRODUCT_BLOCK` elements,
+        then added in place one step at a time in ascending ``t`` — the
+        per-PE accumulation order of the stepper.  (A pairwise reduction
+        over ``t`` would reorder the adds and change the rounding.)
+
+        ``a`` is ``(G, M, K)``, ``b`` is ``(G, K, N)``.  Returns
+        ``(cycles, folds)``; fold outputs are scattered into the
+        ``(G, M, N)`` ``out`` (each fold owns a disjoint tile, as in the
+        reference).
         """
-        m, k = a.shape
-        _, n = b.shape
+        g, m, k = a.shape
+        n = b.shape[2]
         cycles = 0
         folds = 0
         for m0, rtiles, r in _spans(m, self.array.rows):
-            a_grp = a[m0:m0 + rtiles * r].reshape(rtiles, r, k)
-            a_steps = a_grp.transpose(2, 0, 1)  # (k, rtiles, r) view
+            # (k, g, rtiles, 1, r, 1) view of the row streams
+            a_steps = a[:, m0:m0 + rtiles * r].reshape(g, rtiles, r, k) \
+                .transpose(3, 0, 1, 2)[:, :, :, np.newaxis, :, np.newaxis]
             for n0, ctiles, c in _spans(n, self.array.cols):
-                b_steps = b[:, n0:n0 + ctiles * c].reshape(k, ctiles, c)
-                acc = np.zeros((rtiles, ctiles, r, c),
-                               dtype=np.result_type(a, b))
-                for t in range(k):
-                    acc += (a_steps[t][:, np.newaxis, :, np.newaxis]
-                            * b_steps[t][np.newaxis, :, np.newaxis, :])
-                out[m0:m0 + rtiles * r, n0:n0 + ctiles * c] = (
-                    acc.transpose(0, 2, 1, 3).reshape(rtiles * r, ctiles * c)
+                # (k, g, 1, ctiles, 1, c) view of the column streams
+                b_steps = b[:, :, n0:n0 + ctiles * c].reshape(g, k, ctiles, c) \
+                    .transpose(1, 0, 2, 3)[:, :, np.newaxis, :, np.newaxis, :]
+                acc = np.zeros((g, rtiles, ctiles, r, c), dtype=out.dtype)
+                block = max(1, min(k, _PRODUCT_BLOCK // max(acc.size, 1)))
+                prod = np.empty((block,) + acc.shape, dtype=out.dtype)
+                for t0 in range(0, k, block):
+                    steps = np.multiply(a_steps[t0:t0 + block],
+                                        b_steps[t0:t0 + block],
+                                        out=prod[:min(block, k - t0)])
+                    for step in steps:
+                        acc += step
+                out[:, m0:m0 + rtiles * r, n0:n0 + ctiles * c] = (
+                    acc.transpose(0, 1, 3, 2, 4)
+                    .reshape(g, rtiles * r, ctiles * c)
                 )
-                cycles += rtiles * ctiles * FoldShape(r=r, c=c, k=k).cycles
-                folds += rtiles * ctiles
+                cycles += g * rtiles * ctiles * FoldShape(r=r, c=c, k=k).cycles
+                folds += g * rtiles * ctiles
         return cycles, folds
 
     def _run_gemm_fold_reference(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -293,7 +329,8 @@ class SystolicArraySim:
             # Values via the dense wavefront accumulation (bit-identical
             # across engines and to run_gemm); cycles from the packed
             # physical-column tiling.
-            self._run_gemm_vector(a, b, out)
+            self._run_gemm_vector(a[np.newaxis], b[np.newaxis],
+                                  out[np.newaxis])
             for _, rtiles, r in _spans(m, self.array.rows):
                 for _, ctiles, c in _spans(mapping.n_packed, self.array.cols):
                     cycles += rtiles * ctiles * FoldShape(r=r, c=c, k=k).cycles

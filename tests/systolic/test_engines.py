@@ -9,6 +9,8 @@ any fold tiling.  Cycle counts are additionally pinned fold-for-fold to
 the analytical :class:`FoldShape` / :class:`BroadcastFold` models.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.systolic import (
     is_gemm_stats,
     ws_gemm_stats,
 )
+from repro.systolic import functional
 from repro.systolic.functional import ENGINES, SystolicArraySim
 from repro.systolic.fuse_mapping import BroadcastFold
 from repro.systolic.gemm import FoldShape
@@ -71,6 +74,90 @@ class TestOsGemmEngines:
         assert vec.values.dtype == ref.values.dtype
         assert np.array_equal(vec.values, a @ b)
         assert vec.values.tobytes() == ref.values.tobytes()
+
+
+class TestStackedOsGemm:
+    """A ``(G, M, K) @ (G, K, N)`` stack is G GEMMs issued back to back:
+    same bytes as G separate calls and as the stepper, G × the cycles."""
+
+    @given(
+        g=st.integers(1, 5),
+        m=st.integers(1, 10),
+        k=st.integers(1, 9),
+        n=st.integers(1, 6),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 4),
+        zeros=st.sampled_from([0.0, 0.5, 1.0]),
+        block_steps=st.sampled_from([1, 2, 3, None]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_exact_and_fold_cycles(self, g, m, k, n, rows, cols, zeros,
+                                       block_steps, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((g, m, k))
+        b = rng.standard_normal((g, k, n))
+        # Signed zeros: an output summing only -0.0 products must still
+        # read +0.0, as the stepper's accumulator starts at +0.0.
+        a[rng.random(a.shape) < zeros] = -0.0
+        vector, reference = _sims(ArrayConfig(rows=rows, cols=cols))
+        # A block of a few steps makes K span several multiply blocks.
+        block = functional._PRODUCT_BLOCK if block_steps is None \
+            else block_steps * g * m * n
+        with mock.patch.object(functional, "_PRODUCT_BLOCK", block):
+            vec = vector.run_gemm(a, b)
+            singles = [vector.run_gemm(a[i], b[i]) for i in range(g)]
+        ref = reference.run_gemm(a, b)
+        assert vec.values.shape == (g, m, n)
+        assert vec.values.tobytes() == ref.values.tobytes()
+        assert vec.values.tobytes() == np.stack(
+            [s.values for s in singles]).tobytes()
+        np.testing.assert_allclose(vec.values, a @ b)
+        fold_sum = sum(
+            FoldShape(r=r, c=c, k=k).cycles
+            for r in _tiles(m, rows) for c in _tiles(n, cols)
+        )
+        assert vec.cycles == ref.cycles == g * fold_sum
+        assert vec.cycles == sum(s.cycles for s in singles)
+
+    def test_k_spans_several_blocks(self):
+        g, m, k, n = 2, 48, 70, 48
+        # Steps per block (whole-stack accumulator of g·m·n) is below K.
+        assert functional._PRODUCT_BLOCK // (g * m * n) < k
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((g, m, k))
+        b = rng.standard_normal((g, k, n))
+        vector, reference = _sims(ArrayConfig(16, 16))
+        vec, ref = vector.run_gemm(a, b), reference.run_gemm(a, b)
+        assert vec.values.tobytes() == ref.values.tobytes()
+        assert vec.cycles == ref.cycles
+
+    def test_all_negative_zero_products_sum_to_positive_zero(self):
+        a = np.full((3, 4, 5), -0.0)
+        b = np.ones((3, 5, 2))
+        vector, reference = _sims(ArrayConfig(2, 2))
+        vec, ref = vector.run_gemm(a, b), reference.run_gemm(a, b)
+        assert not np.signbit(vec.values).any()
+        assert vec.values.tobytes() == ref.values.tobytes()
+
+    def test_integer_inputs_stay_integral(self):
+        a = np.arange(2 * 3 * 4).reshape(2, 3, 4)
+        b = np.arange(2 * 4 * 5).reshape(2, 4, 5)
+        vector, reference = _sims(ArrayConfig(2, 2))
+        vec, ref = vector.run_gemm(a, b), reference.run_gemm(a, b)
+        assert vec.values.dtype == ref.values.dtype == a.dtype
+        assert np.array_equal(vec.values, a @ b)
+        assert vec.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((2, 3, 4), (3, 4, 5)),   # stack sizes differ
+        ((2, 3, 4), (2, 5, 5)),   # K differs
+        ((2, 3, 4), (4, 5)),      # stacked @ plain
+    ])
+    def test_shape_mismatch_rejected(self, a_shape, b_shape):
+        sim = SystolicArraySim(ArrayConfig(2, 2))
+        with pytest.raises(ValueError, match="disagree"):
+            sim.run_gemm(np.zeros(a_shape), np.zeros(b_shape))
 
 
 class TestWsIsGemmEngines:

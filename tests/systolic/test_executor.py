@@ -25,6 +25,7 @@ from repro.ir import (
 from repro.nn import GraphExecutor, Tensor
 from repro.systolic import ArrayConfig, estimate_network
 from repro.systolic.executor import ArrayNetworkExecutor
+from repro.systolic.latency import estimate_layer
 
 
 def block_net(kernel=3, stride=2, use_se=True) -> Network:
@@ -91,6 +92,35 @@ class TestCycleEquivalence:
         _, base_run = run_both(base_net, array=array)
         _, fuse_run = run_both(fuse_net, array=array)
         assert fuse_run.cycles < base_run.cycles
+
+
+def grouped_net() -> Network:
+    net = Network("grp", input_shape=(6, 9, 9))
+    net.add(Conv2D(4, kernel=3, padding="same", groups=2), name="g2")
+    net.add(BatchNorm(), name="bn")
+    net.add(Conv2D(6, kernel=3, stride=2, padding="same", groups=2),
+            name="g2s")
+    net.add(Conv2D(6, kernel=1, groups=3), name="g3")
+    return net
+
+
+class TestGroupedConv:
+    """Conv2D with groups > 1: the groups run as one stacked GEMM."""
+
+    def test_values_match_graph_executor(self):
+        reference, run = run_both(grouped_net())
+        assert np.allclose(run.values.reshape(-1), reference.reshape(-1),
+                           atol=1e-5)
+
+    def test_cycles_match_estimate_layer(self):
+        net = grouped_net()
+        array = ArrayConfig.square(4)
+        _, run = run_both(net, array=array)
+        nodes = {node.name: node for node in net}
+        assert [layer.name for layer in run.layers] == ["g2", "g2s", "g3"]
+        for layer in run.layers:
+            assert layer.cycles == estimate_layer(nodes[layer.name],
+                                                  array).cycles
 
 
 class TestValidation:

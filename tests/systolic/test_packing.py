@@ -12,9 +12,12 @@ from repro.ir import (
     Network,
     PointwiseConv2D,
 )
+from repro.core.reference import im2col
 from repro.ir.packing import (
+    NetworkPacking,
     PackedMapping,
     magnitude_mask,
+    pack_depthwise,
     pack_fuse1d,
     pack_gemm_columns,
 )
@@ -252,3 +255,53 @@ class TestPackedExecutor:
         with pytest.raises(ValueError):
             ArrayNetworkExecutor(net, model=executor, array=array,
                                  packing=tf.packing).run(x)
+
+
+class TestPackedDepthwiseExecutor:
+    """Live-tap depthwise channels stacked by ``k_eff`` equal the
+    per-channel schedule: one single-column GEMM per live channel."""
+
+    @staticmethod
+    def mixed_weights():
+        rng = np.random.default_rng(8)
+        w = rng.normal(size=(6, 9))
+        w[0] = 0.0                    # k_eff 0: no array cycles
+        w[1, [1, 2, 5, 7, 8]] = 0.0   # k_eff 4
+        w[3, [0, 3, 4, 6, 8]] = 0.0   # k_eff 4, another support
+        w[4, 1:] = 0.0                # k_eff 1
+        return w                      # channels 2 and 5: full K
+
+    @pytest.mark.parametrize("gamma", [1, 2])
+    def test_matches_per_channel_loop(self, gamma):
+        net = Network("dwpk", input_shape=(6, 7, 7))
+        net.add(DepthwiseConv2D(kernel=3, stride=2), name="dw")
+        model = GraphExecutor(net, seed=0)
+        w = self.mixed_weights()
+        model.module_for("dw").weight.data[...] = w.reshape(6, 1, 3, 3)
+        mapping = pack_depthwise(w, gamma=gamma)
+        if gamma == 2:
+            assert sorted(set(mapping.k_eff)) == [0, 1, 4, 9]
+        packing = NetworkPacking(gamma=gamma, conflict="prune",
+                                 layers=(("dw", mapping),))
+        array = ArrayConfig(4, 4)
+        x = np.random.default_rng(9).normal(size=net.input_shape)
+        run = ArrayNetworkExecutor(net, model=model, array=array,
+                                   packing=packing).run(x)
+
+        # The per-channel schedule, written out channel by channel.
+        w = model.module_for("dw").weight.data.astype(np.float64)
+        w = w.reshape(6, 9)
+        sim = SystolicArraySim(array)
+        want = np.zeros((6, 16))
+        cycles = 0
+        for ch, ke in enumerate(mapping.k_eff):
+            if ke == 0:
+                continue
+            taps = np.arange(9) if ke == 9 else np.flatnonzero(w[ch])
+            cols = im2col(x[ch:ch + 1], (3, 3), (2, 2), "same")
+            one = sim.run_gemm(cols[:, taps], w[ch, taps].reshape(-1, 1))
+            want[ch] = one.values.reshape(-1)
+            cycles += one.cycles
+        assert run.values.tobytes() == want.reshape(6, 4, 4).tobytes()
+        assert run.cycles == cycles
+        assert run.all_cycles_consistent

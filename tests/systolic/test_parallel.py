@@ -24,6 +24,7 @@ from repro.systolic import (
     shutdown_pool,
 )
 from repro.systolic.executor import ArrayNetworkExecutor, _tile_chunks
+from repro.systolic.gemm import FoldShape
 from repro.systolic.parallel import JOBS_ENV, default_jobs
 
 
@@ -58,6 +59,11 @@ def _always_die(task):
     if value == poison:
         os._exit(13)
     return value * value
+
+
+def _tiles(extent, tile):
+    for start in range(0, extent, tile):
+        yield min(tile, extent - start)
 
 
 def small_net() -> Network:
@@ -222,6 +228,26 @@ class TestExecutorParallelParity:
             l.cycles for l in parallel.layers
         ]
         assert parallel.all_cycles_consistent
+
+    def test_sim_counters_count_every_channel_gemm(self):
+        """The depthwise stack still counts one GEMM per channel, so the
+        ``sim.gemm.*`` counters (and ``--metrics-out`` sidecars) equal
+        the per-channel totals: conv, 6 depthwise channels, pointwise."""
+        reg = get_registry()
+        reg.reset()
+        array = ArrayConfig(4, 4, broadcast=True)
+        x = np.random.default_rng(0).standard_normal((3, 12, 12))
+        ArrayNetworkExecutor(small_net(), array=array, seed=1).run(x)
+        gemms = [(144, 27, 6)] + [(144, 9, 1)] * 6 + [(144, 6, 8)]
+        folds = cycles = 0
+        for m, k, n in gemms:
+            for r in _tiles(m, 4):
+                for c in _tiles(n, 4):
+                    folds += 1
+                    cycles += FoldShape(r=r, c=c, k=k).cycles
+        assert reg.counter("sim.gemm.calls").value == len(gemms)
+        assert reg.counter("sim.gemm.folds").value == folds
+        assert reg.counter("sim.gemm.cycles").value == cycles
 
     def test_worker_sim_metrics_visible(self):
         reg = get_registry()
