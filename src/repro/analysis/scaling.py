@@ -45,15 +45,21 @@ def scaling_curve(
 ) -> List[ScalingPoint]:
     """Speed-up vs array size for one network.
 
-    The transform is planned per array size (the 50 % variants' layer
-    selection depends on it); Full/Half replace everything, so their graph
-    is size-independent but the latencies are not.
+    A variant that ranks by latency (the 50 % variants, see
+    :attr:`~repro.core.FuSeVariant.ranks_by_latency`) is transformed once
+    per array size, since its layer selection depends on the array.
+    Full/Half replace every depthwise layer, so their graph is
+    size-independent and is transformed once per curve; only the
+    latencies are re-estimated per size.
     """
     baseline = build_model(name, **model_kwargs)
+    fixed = None if variant.ranks_by_latency \
+        else to_fuseconv(baseline, variant)
     points = []
     for size in sizes:
         array = ArrayConfig.square(size)
-        transformed = to_fuseconv(baseline, variant, array)
+        transformed = fixed if fixed is not None \
+            else to_fuseconv(baseline, variant, array)
         points.append(
             ScalingPoint(
                 network=name,

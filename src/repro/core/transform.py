@@ -82,7 +82,7 @@ def plan_replacements(
     plan = ReplacementPlan(variant=variant, array=array)
     depthwise = network.find(DepthwiseConv2D)
 
-    if variant.replace_fraction >= 1.0:
+    if not variant.ranks_by_latency:
         # Full replacement needs no ranking (and no latency evaluation).
         plan.replaced = [n.name for n in depthwise]
         return plan

@@ -32,6 +32,14 @@ class FuSeVariant(Enum):
         return 0.5 if self in (FuSeVariant.FULL_50, FuSeVariant.HALF_50) else 1.0
 
     @property
+    def ranks_by_latency(self) -> bool:
+        """True for the 50 % variants: they replace the depthwise layers
+        with the largest cycle savings on the target array, so the
+        transformed graph depends on that array.  Full and Half replace
+        every depthwise layer, whatever the array."""
+        return self.replace_fraction < 1.0
+
+    @property
     def label(self) -> str:
         """Display label matching Table I rows (e.g. ``"FuSe-Half-50%"``)."""
         base = "FuSe-Full" if self.d == 1 else "FuSe-Half"

@@ -26,7 +26,7 @@ from .buffers import (
 )
 from .dataflows import gemm_stats, is_gemm_stats, ws_gemm_stats
 from .executor import ArrayNetworkExecutor, ArrayRunResult, LayerRun
-from .im2col import ArrayOp, LoweredLayer, lower_layer
+from .im2col import ARRAY_LAYERS, ArrayOp, LoweredLayer, lower_layer
 from .latency import (
     LayerLatency,
     NetworkLatency,
@@ -95,6 +95,7 @@ __all__ = [
     "ArrayNetworkExecutor",
     "ArrayRunResult",
     "LayerRun",
+    "ARRAY_LAYERS",
     "ArrayOp",
     "LoweredLayer",
     "lower_layer",

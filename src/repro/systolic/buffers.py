@@ -90,7 +90,8 @@ def network_buffer_requirement(
     worst = BufferRequirement(input_values=0, output_values=0)
     for node in network:
         lowered = lower_layer(node.layer, node.in_shape, node.out_shape)
-        for op in lowered.ops:
+        # A count repeats its op's folds; it never enlarges one.
+        for op, _ in lowered.ops:
             if isinstance(op, Conv1DBank):
                 requirement = bank_buffer_requirement(op, array)
             else:

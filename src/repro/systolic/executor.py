@@ -218,18 +218,25 @@ class ArrayNetworkExecutor:
         spec = node.layer
         x = inputs[0]
         if isinstance(spec, ir.Conv2D):
-            return self._conv(node, x, packed)
-        if isinstance(spec, ir.DepthwiseConv2D):
-            return self._depthwise(node, x, packed)
-        if isinstance(spec, ir.PointwiseConv2D):
-            return self._pointwise(node, x, packed)
-        if isinstance(spec, ir.FuSeConv1D):
-            return self._fuse(node, x, packed)
-        if isinstance(spec, ir.Linear):
-            return self._linear(node, x, packed)
-        if isinstance(spec, ir.SqueezeExcite):
+            out, cycles = self._conv(node, x, packed)
+        elif isinstance(spec, ir.DepthwiseConv2D):
+            out, cycles = self._depthwise(node, x, packed)
+        elif isinstance(spec, ir.PointwiseConv2D):
+            out, cycles = self._pointwise(node, x, packed)
+        elif isinstance(spec, ir.FuSeConv1D):
+            out, cycles = self._fuse(node, x, packed)
+        elif isinstance(spec, ir.Linear):
+            out, cycles = self._linear(node, x, packed)
+        elif isinstance(spec, ir.SqueezeExcite):
             return self._squeeze_excite(node, x)
-        return self._host(node, inputs), 0
+        else:
+            return self._host(node, inputs), 0
+        # The array computes the products; the per-output-channel bias is
+        # a host-side add, as in GraphExecutor.
+        bias = self.model.module_for(node.name).bias
+        if bias is not None:
+            out = out + bias.data.reshape((-1,) + (1,) * (out.ndim - 1))
+        return out, cycles
 
     def _weights(self, name: str) -> np.ndarray:
         return self.model.module_for(name).weight.data.astype(np.float64)
@@ -410,10 +417,7 @@ class ArrayNetworkExecutor:
             run = self.sim.run_packed_gemm(a, w.T, packed)
         else:
             run = self.sim.run_gemm(a, w.T)
-        out = run.values.reshape(-1)
-        if module.bias is not None:
-            out = out + module.bias.data
-        return out.reshape(node.out_shape), run.cycles
+        return run.values.reshape(node.out_shape), run.cycles
 
     def _squeeze_excite(self, node, x):
         module = self.model.module_for(node.name)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .config import ArrayConfig
-from .gemm import MappingStats
+from .gemm import GemmDims, MappingStats, _tile_counts
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,6 @@ def broadcast_conv1d_stats(bank: Conv1DBank, array: ArrayConfig) -> MappingStats
             "broadcast dataflow requested on an array without broadcast links; "
             "use fallback_conv1d_gemms() instead"
         )
-    from .gemm import _tile_counts
-
     stats = MappingStats()
     first = True
     for r, nr in _tile_counts(bank.num_convs, array.rows):
@@ -140,8 +138,7 @@ def fallback_conv1d_gemms(bank: Conv1DBank):
 
     Each 1D convolution becomes a ``(L_out × K) · (K × 1)`` GEMM — the
     degenerate single-column mapping of §III-B, provided so the cost of the
-    missing link is measurable.
+    missing link is measurable.  Returned as one ``(gemm, count)`` pair:
+    the bank's ``num_convs`` GEMMs are identical.
     """
-    from .gemm import GemmDims
-
-    return [GemmDims(m=bank.out_length, k=bank.kernel, n=1)] * bank.num_convs
+    return [(GemmDims(m=bank.out_length, k=bank.kernel, n=1), bank.num_convs)]

@@ -13,12 +13,17 @@ Key mappings and their §III significance:
   column (Fig. 2c) — the inefficiency the paper identifies;
 * FuSeConv 1D group → a :class:`repro.systolic.fuse_mapping.Conv1DBank`
   executed with the broadcast dataflow — spans both dimensions (Fig. 7).
+
+A lowered layer is a weighted histogram of ``(op, count)`` pairs: the
+``C`` identical depthwise GEMMs are one pair with count ``C``, so a cost
+model prices each distinct operation once and scales it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List, Tuple, Union
 
 from ..ir.layer import (
     Conv2D,
@@ -37,16 +42,27 @@ from .gemm import GemmDims
 #: A layer lowers to either GEMMs or 1D-convolution banks.
 ArrayOp = Union[GemmDims, Conv1DBank]
 
+#: The layer specs with array compute (§V-A.3: convolutions,
+#: Squeeze-and-Excite and FC layers).  Every other spec — BN,
+#: activations, pooling, plumbing — lowers to no operation and costs
+#: zero array cycles.
+ARRAY_LAYERS = (Conv2D, DepthwiseConv2D, PointwiseConv2D, FuSeConv1D,
+                Linear, SqueezeExcite)
+
 
 @dataclass(frozen=True)
 class LoweredLayer:
-    """The array operations implementing one layer."""
+    """The array operations implementing one layer.
 
-    ops: List[ArrayOp]
+    ``ops`` holds ``(op, count)`` pairs: ``op`` runs ``count`` times back
+    to back.  Each distinct op appears once.
+    """
+
+    ops: List[Tuple[ArrayOp, int]]
 
     @property
     def macs(self) -> int:
-        return sum(op.macs for op in self.ops)
+        return sum(count * op.macs for op, count in self.ops)
 
 
 def lower_layer(
@@ -54,10 +70,10 @@ def lower_layer(
 ) -> LoweredLayer:
     """Lower a compute layer to array operations.
 
-    Layers with no array compute (activations, BN, pooling, plumbing)
-    lower to an empty op list — the paper's latency model considers
-    compute-bound convolution, Squeeze-and-Excite and FC layers only
-    (§V-A.3).
+    Layers outside :data:`ARRAY_LAYERS` (activations, BN, pooling,
+    plumbing) lower to an empty op list — the paper's latency model
+    considers compute-bound convolution, Squeeze-and-Excite and FC layers
+    only (§V-A.3).
 
     ``batch`` folds additional images into the GEMM M dimension (for
     convolutions) or independent rows (for FC / 1D banks) — the standard
@@ -65,25 +81,26 @@ def lower_layer(
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
+    if not isinstance(layer, ARRAY_LAYERS):
+        return LoweredLayer([])
     if isinstance(layer, Conv2D):
         return _lower_conv(layer, in_shape, out_shape, batch)
     if isinstance(layer, DepthwiseConv2D):
         return _lower_depthwise(layer, in_shape, out_shape, batch)
     if isinstance(layer, PointwiseConv2D):
         c, h, w = in_shape
-        return LoweredLayer([GemmDims(m=batch * h * w, k=c, n=layer.out_channels)])
+        return LoweredLayer(
+            [(GemmDims(m=batch * h * w, k=c, n=layer.out_channels), 1)])
     if isinstance(layer, FuSeConv1D):
         return _lower_fuse(layer, in_shape, out_shape, batch)
     if isinstance(layer, Linear):
         c = in_shape[0]
-        return LoweredLayer([GemmDims(m=batch, k=c, n=layer.out_features)])
-    if isinstance(layer, SqueezeExcite):
-        c = in_shape[0]
-        mid = layer.bottleneck(c)
-        return LoweredLayer(
-            [GemmDims(m=batch, k=c, n=mid), GemmDims(m=batch, k=mid, n=c)]
-        )
-    return LoweredLayer([])
+        return LoweredLayer([(GemmDims(m=batch, k=c, n=layer.out_features), 1)])
+    c = in_shape[0]  # SqueezeExcite: the two FC GEMMs
+    mid = layer.bottleneck(c)
+    return LoweredLayer(
+        [(GemmDims(m=batch, k=c, n=mid), 1), (GemmDims(m=batch, k=mid, n=c), 1)]
+    )
 
 
 def lower_packed_layer(
@@ -113,14 +130,15 @@ def lower_packed_layer(
                 or (isinstance(layer, Conv2D) and layer.groups == 1)):
             raise ValueError(
                 f"gemm packing cannot apply to {type(layer).__name__}")
-        (dims,) = dense.ops
+        ((dims, _),) = dense.ops
         if packed.k != dims.k or packed.n_orig != dims.n:
             raise ValueError(
                 f"packed mapping (K={packed.k}, N={packed.n_orig}) does not "
                 f"match layer GEMM (K={dims.k}, N={dims.n})")
         if packed.n_packed == 0:
             return LoweredLayer([])
-        return LoweredLayer([GemmDims(m=dims.m, k=dims.k, n=packed.n_packed)])
+        return LoweredLayer(
+            [(GemmDims(m=dims.m, k=dims.k, n=packed.n_packed), 1)])
     if packed.kind == "depthwise":
         if not isinstance(layer, DepthwiseConv2D):
             raise ValueError(
@@ -132,8 +150,9 @@ def lower_packed_layer(
                 f"packed mapping (C={len(packed.k_eff)}, K={packed.k}) does "
                 f"not match depthwise layer (C={c_out}, K={kh * kw})")
         m = batch * oh * ow
+        live = Counter(ke for ke in packed.k_eff if ke > 0)
         return LoweredLayer(
-            [GemmDims(m=m, k=ke, n=1) for ke in packed.k_eff if ke > 0])
+            [(GemmDims(m=m, k=ke, n=1), count) for ke, count in live.items()])
     if packed.kind == "fuse1d":
         if not isinstance(layer, FuSeConv1D):
             raise ValueError(
@@ -146,12 +165,12 @@ def lower_packed_layer(
         sh, sw = layer.stride_hw
         lines, out_length, stride = (oh, ow, sw) if layer.axis == "row" \
             else (ow, oh, sh)
-        ops: List[ArrayOp] = [
-            Conv1DBank(num_convs=batch * len(chans) * lines,
-                       out_length=out_length, kernel=len(taps), stride=stride)
+        return LoweredLayer([
+            (Conv1DBank(num_convs=batch * len(chans) * lines,
+                        out_length=out_length, kernel=len(taps),
+                        stride=stride), 1)
             for taps, chans in packed.tap_groups
-        ]
-        return LoweredLayer(ops)
+        ])
     raise ValueError(f"unknown packing kind {packed.kind!r}")
 
 
@@ -161,12 +180,10 @@ def _lower_conv(
     c_in = in_shape[0]
     c_out, oh, ow = out_shape
     kh, kw = layer.kernel_hw
-    if layer.groups == 1:
-        return LoweredLayer([GemmDims(m=batch * oh * ow, k=kh * kw * c_in, n=c_out)])
     per_group = GemmDims(
         m=batch * oh * ow, k=kh * kw * (c_in // layer.groups), n=c_out // layer.groups
     )
-    return LoweredLayer([per_group] * layer.groups)
+    return LoweredLayer([(per_group, layer.groups)])
 
 
 def _lower_depthwise(
@@ -176,7 +193,7 @@ def _lower_depthwise(
     kh, kw = layer.kernel_hw
     # One single-column GEMM per output channel (Fig. 2c): no reuse along
     # systolic dimension 1.  Batching extends M (same filter, more pixels).
-    return LoweredLayer([GemmDims(m=batch * oh * ow, k=kh * kw, n=1)] * c_out)
+    return LoweredLayer([(GemmDims(m=batch * oh * ow, k=kh * kw, n=1), c_out)])
 
 
 def _lower_fuse(
@@ -194,4 +211,4 @@ def _lower_fuse(
         bank = Conv1DBank(
             num_convs=batch * c * ow, out_length=oh, kernel=layer.kernel, stride=sh
         )
-    return LoweredLayer([bank])
+    return LoweredLayer([(bank, 1)])

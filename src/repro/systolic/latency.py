@@ -10,12 +10,19 @@ Entry points:
 * :func:`estimate_network` — whole network, with per-node, per-operator-class
   and per-block breakdowns (feeding Table I, Fig. 8a/b/c).
 
+Cost is paid only for what reaches the array.  :func:`estimate_network`
+skips nodes outside :data:`~repro.systolic.im2col.ARRAY_LAYERS` (BN,
+activations, pooling, plumbing: zero cycles) before any lookup, and a
+lowered layer is a histogram of ``(op, count)`` pairs, so the ``C``
+identical GEMMs of a depthwise layer are priced once and scaled.
+
 Observability: :func:`mapping_stats` results are memoized on
-``(layer, shapes, array, batch)`` — design sweeps and Table I re-estimate
-the same depthwise shapes constantly — with ``latency.cache.hit`` /
-``latency.cache.miss`` counters on the default registry.  With the tracer
-enabled (``--trace-out``) the cache is bypassed so every network estimate
-emits its full ``network → layer → fold`` span tree.
+``(layer, shapes, array, batch, packing)`` — design sweeps and Table I
+re-estimate the same depthwise shapes constantly — with
+``latency.cache.hit`` / ``latency.cache.miss`` counters on the default
+registry.  With the tracer enabled (``--trace-out``) the cache is
+bypassed so every network estimate emits its full
+``network → layer → fold`` span tree.
 """
 
 from __future__ import annotations
@@ -30,13 +37,14 @@ from ..ir.network import Network, Node
 from ..ir.packing import NetworkPacking, PackedMapping
 from ..obs import get_registry, get_tracer
 from .config import ArrayConfig
+from .dataflows import gemm_stats
 from .fuse_mapping import (
     Conv1DBank,
     broadcast_conv1d_stats,
     fallback_conv1d_gemms,
 )
 from .gemm import MappingStats
-from .im2col import lower_layer, lower_packed_layer
+from .im2col import ARRAY_LAYERS, lower_layer, lower_packed_layer
 
 
 @dataclass
@@ -175,8 +183,6 @@ def mapping_stats(layer: LayerSpec, in_shape: Shape, out_shape: Shape,
     :func:`repro.systolic.im2col.lower_packed_layer`); ``None`` is the
     dense schedule.
     """
-    from collections import Counter
-
     tracer = get_tracer()
     key: Optional[Tuple] = None
     if not tracer.enabled:
@@ -201,13 +207,11 @@ def mapping_stats(layer: LayerSpec, in_shape: Shape, out_shape: Shape,
         lowered = lower_packed_layer(layer, in_shape, out_shape, batch,
                                      packed)
     total = MappingStats()
-    from .dataflows import gemm_stats
-
-    # Depthwise layers lower to C identical GEMMs — compute each distinct
-    # operation once and scale.
+    # Each distinct operation is priced once and scaled by its count (a
+    # depthwise layer is one single-column GEMM × C).
     # repr(op) is only worth computing when a span will record it.
     describe = repr if tracer.enabled else (lambda op: "")
-    for op, count in Counter(lowered.ops).items():
+    for op, count in lowered.ops:
         if isinstance(op, Conv1DBank):
             with tracer.span("broadcast.fold", category="latency",
                              op=describe(op), repeats=count) as sp:
@@ -217,7 +221,7 @@ def mapping_stats(layer: LayerSpec, in_shape: Shape, out_shape: Shape,
                     # Without the proposed link, 1D convs degrade to the
                     # single-column im2col mapping (§III-B).
                     op_stats = MappingStats()
-                    for dims, n in Counter(fallback_conv1d_gemms(op)).items():
+                    for dims, n in fallback_conv1d_gemms(op):
                         op_stats.merge(_scaled(gemm_stats(dims, array), n))
                 sp.set(folds=op_stats.folds * count, cycles=op_stats.cycles * count)
         else:
@@ -280,7 +284,9 @@ def estimate_network(
     ``batch > 1`` estimates one pass over a batch (throughput studies);
     the paper's Table I numbers are batch 1.  ``packing`` (from the
     sparse compile pipeline, ``plan.packing``) switches every layer it
-    covers to its packed schedule; uncovered layers stay dense.
+    covers to its packed schedule; uncovered layers stay dense.  Nodes
+    outside :data:`~repro.systolic.im2col.ARRAY_LAYERS` cost zero cycles
+    and are skipped without a memo lookup.
     """
     if array is None:
         from .config import PAPER_ARRAY
@@ -292,6 +298,8 @@ def estimate_network(
                            network=network.name,
                            array=f"{array.rows}x{array.cols}") as sp:
         for node in network:
+            if not isinstance(node.layer, ARRAY_LAYERS):
+                continue
             packed = None if packing is None else packing.get(node.name)
             layer_latency = estimate_layer(node, array, batch, packed)
             if layer_latency.stats.cycles:

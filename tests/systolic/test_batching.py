@@ -15,19 +15,19 @@ def _lower(layer, in_shape, batch):
 class TestLoweringWithBatch:
     def test_conv_m_scales(self):
         layer = Conv2D(8, kernel=3, padding="same")
-        single = _lower(layer, (4, 8, 8), 1).ops[0]
-        batched = _lower(layer, (4, 8, 8), 4).ops[0]
+        single = _lower(layer, (4, 8, 8), 1).ops[0][0]
+        batched = _lower(layer, (4, 8, 8), 4).ops[0][0]
         assert batched.m == 4 * single.m
         assert (batched.k, batched.n) == (single.k, single.n)
 
     def test_fc_batch_becomes_rows(self):
         layer = Linear(10)
-        assert _lower(layer, (64, 1, 1), 8).ops[0].m == 8
+        assert _lower(layer, (64, 1, 1), 8).ops[0][0].m == 8
 
     def test_fuse_bank_scales_convs(self):
         layer = FuSeConv1D(axis="row", kernel=3)
-        single = _lower(layer, (4, 8, 8), 1).ops[0]
-        batched = _lower(layer, (4, 8, 8), 3).ops[0]
+        single = _lower(layer, (4, 8, 8), 1).ops[0][0]
+        batched = _lower(layer, (4, 8, 8), 3).ops[0][0]
         assert batched.num_convs == 3 * single.num_convs
 
     def test_macs_scale_linearly(self):

@@ -123,6 +123,41 @@ class TestGroupedConv:
                                                   array).cycles
 
 
+def one_layer_net(layer) -> Network:
+    net = Network("biased", input_shape=(4, 9, 9))
+    net.add(layer, name="layer")
+    return net
+
+
+class TestConvBias:
+    """A conv's bias is added to the array's products, as GraphExecutor does."""
+
+    @pytest.mark.parametrize("layer", [
+        Conv2D(6, kernel=3, padding="same", bias=True),
+        Conv2D(6, kernel=3, padding="same", groups=2, bias=True),
+        DepthwiseConv2D(kernel=3, bias=True),
+        PointwiseConv2D(5, bias=True),
+        FuSeConv1D(axis="row", kernel=3, bias=True),
+        FuSeConv1D(axis="col", kernel=3, stride=2, bias=True),
+    ], ids=["conv", "grouped", "depthwise", "pointwise", "fuse_row",
+            "fuse_col"])
+    def test_bias_one_matches_graph_executor(self, layer):
+        net = one_layer_net(layer)
+        model = GraphExecutor(net, seed=0)
+        model.eval()
+        bias = model.module_for("layer").bias
+        bias.data[...] = 1.0
+        x = np.random.default_rng(1).normal(size=net.input_shape)
+        reference = model(Tensor(x[None].astype(np.float32))).data[0]
+        run = ArrayNetworkExecutor(net, model=model,
+                                   array=ArrayConfig.square(4)).run(x)
+        assert np.allclose(run.values, reference, atol=1e-5)
+        bias.data[...] = 0.0
+        unbiased = ArrayNetworkExecutor(net, model=model,
+                                        array=ArrayConfig.square(4)).run(x)
+        assert np.allclose(run.values - unbiased.values, 1.0)
+
+
 class TestValidation:
     def test_requires_chw_input(self):
         executor = ArrayNetworkExecutor(block_net(), array=ArrayConfig.square(4))

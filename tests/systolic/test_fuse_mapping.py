@@ -72,7 +72,8 @@ class TestStats:
         bank = Conv1DBank(num_convs=32, out_length=28, kernel=3)
         fast = broadcast_conv1d_stats(bank, array).cycles
         slow = sum(
-            os_gemm_stats(dims, array).cycles for dims in fallback_conv1d_gemms(bank)
+            count * os_gemm_stats(dims, array).cycles
+            for dims, count in fallback_conv1d_gemms(bank)
         )
         assert fast < slow / 4
 
@@ -80,10 +81,9 @@ class TestStats:
 class TestFallback:
     def test_gemm_shape(self):
         bank = Conv1DBank(num_convs=5, out_length=12, kernel=3)
-        gemms = fallback_conv1d_gemms(bank)
-        assert len(gemms) == 5
-        assert gemms[0] == GemmDims(m=12, k=3, n=1)
+        assert fallback_conv1d_gemms(bank) == [(GemmDims(m=12, k=3, n=1), 5)]
 
     def test_fallback_preserves_macs(self):
         bank = Conv1DBank(num_convs=5, out_length=12, kernel=3)
-        assert sum(g.macs for g in fallback_conv1d_gemms(bank)) == bank.macs
+        assert sum(count * g.macs for g, count
+                   in fallback_conv1d_gemms(bank)) == bank.macs

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FuSeVariant, to_fuseconv
+from repro.core import ALL_VARIANTS, FuSeVariant, to_fuseconv
 from repro.ir import (
     Activation,
     BatchNorm,
@@ -12,12 +12,14 @@ from repro.ir import (
     Network,
     PointwiseConv2D,
 )
-from repro.models import build_model
+from repro.models import PAPER_NETWORKS, build_model
 from repro.systolic import (
+    ARRAY_LAYERS,
     ArrayConfig,
     GemmDims,
     estimate_layer,
     estimate_network,
+    lower_layer,
     mapping_stats,
     os_gemm_stats,
     speedup,
@@ -238,3 +240,30 @@ class TestMappingCache:
             tracer.clear()
         assert reg.get("latency.cache.miss") is None
         assert reg.get("latency.cache.hit") is None
+
+
+class TestArrayLayerSkip:
+    """estimate_network skips nodes outside ARRAY_LAYERS before the memo;
+    the result must equal estimating every node and keeping nonzero ones."""
+
+    @pytest.mark.parametrize("size", [8, 64])
+    @pytest.mark.parametrize("name", sorted(PAPER_NETWORKS))
+    def test_skip_equals_per_node_path(self, name, size):
+        array = ArrayConfig.square(size)
+        baseline = build_model(name)
+        networks = [baseline] + [to_fuseconv(baseline, v, array)
+                                 for v in ALL_VARIANTS]
+        for net in networks:
+            for batch in (1, 2):
+                per_node = [
+                    latency for latency in (
+                        estimate_layer(node, array, batch) for node in net)
+                    if latency.cycles
+                ]
+                skipped = estimate_network(net, array, batch).layers
+                assert skipped == per_node, (net.name, batch)
+            for node in net:
+                lowered = lower_layer(node.layer, node.in_shape,
+                                      node.out_shape)
+                assert bool(lowered.ops) == isinstance(node.layer,
+                                                       ARRAY_LAYERS)
