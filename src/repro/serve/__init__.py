@@ -13,6 +13,8 @@ The subsystem that turns the offline toolkit into a request path:
 * :mod:`repro.serve.workers` — batch execution engines (``graph`` /
   ``array`` / ``analytical``);
 * :mod:`repro.serve.server` — the :class:`InferenceServer` facade;
+* :mod:`repro.serve.blas` — holds numpy's OpenBLAS pool at one thread
+  while a server runs (its ``workers`` are the parallelism);
 * :mod:`repro.serve.transport` — JSON-lines TCP front-end and client;
 * :mod:`repro.serve.loadgen` — deterministic closed/open-loop load
   generation and the benchmark report;

@@ -32,6 +32,7 @@ from ..obs.alerts import evaluate_alerts
 from ..obs.expose import ExpositionServer, render_exposition
 from ..obs.snapshots import LiveStats, SnapshotLoop, derive_live
 from ..systolic import ArrayConfig
+from .blas import SERVING_BLAS, blas_threads
 from .costmodel import BatchCostModel
 from .registry import ModelRegistry, RegisteredModel
 from .request import InferenceRequest, InferenceResponse, ModelKey
@@ -124,6 +125,7 @@ class InferenceServer:
             breaker_cooldown_s=self.config.breaker_cooldown_s,
         )
         self._started = False
+        self._holds_blas = False
         self._warmed = not self.config.require_warmup
         self._snapshots: Optional[SnapshotLoop] = None
         self._exposition: Optional[ExpositionServer] = None
@@ -131,8 +133,25 @@ class InferenceServer:
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> "InferenceServer":
+        """Build the preloaded models off-loop and start the workers.
+
+        For as long as the server runs it holds numpy's OpenBLAS pool at
+        one thread (:mod:`repro.serve.blas`): requests run in parallel on
+        the ``workers``, and an idle BLAS pool would only spin beside
+        them.  A start that fails partway releases the hold again.
+        """
         if self._started:
             return self
+        SERVING_BLAS.acquire()
+        self._holds_blas = True
+        try:
+            await self._start()
+        except BaseException:
+            self._release_blas()
+            raise
+        return self
+
+    async def _start(self) -> None:
         if self.config.preload:
             def preload() -> None:
                 self.registry.preload(self.config.preload)
@@ -158,9 +177,8 @@ class InferenceServer:
             "server started", engine=self.config.engine,
             workers=self.config.workers, max_batch=self.config.max_batch,
             max_queue=self.config.max_queue, slo_ms=self.config.slo_ms,
-            preloaded=len(self.registry),
+            preloaded=len(self.registry), blas_threads=blas_threads(),
         )
-        return self
 
     async def stop(self, drain: bool = True) -> None:
         """Stop admitting, then drain (default) or cancel queued work."""
@@ -174,7 +192,13 @@ class InferenceServer:
         if self._snapshots is not None:
             await asyncio.to_thread(self._snapshots.stop)
         self._started = False
+        self._release_blas()
         _log.info("server stopped", drained=drain)
+
+    def _release_blas(self) -> None:
+        if self._holds_blas:
+            self._holds_blas = False
+            SERVING_BLAS.release()
 
     async def __aenter__(self) -> "InferenceServer":
         return await self.start()
@@ -313,6 +337,8 @@ class InferenceServer:
         ``require_warmup`` it also stays ``False`` — with ``warming:
         true`` — until :meth:`warmup` completed, so a fleet router holds
         traffic off a replica that would serve cold plans.
+        ``blas_threads`` is the process's OpenBLAS thread count (1 while
+        any server runs; ``None`` when numpy runs on another BLAS).
         """
         draining = self.scheduler.draining and (
             self._started or len(self.scheduler.store) > 0
@@ -331,6 +357,7 @@ class InferenceServer:
             "breakers": self.pool.breaker_states(),
             "engine": self.config.engine,
             "resilience": self.config.resilience,
+            "blas_threads": blas_threads(),
         }
 
     def stats(self) -> dict:

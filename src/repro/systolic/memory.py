@@ -16,6 +16,7 @@ from typing import List, Optional
 from ..ir.counting import op_class
 from ..ir.network import Network, Node
 from .config import ArrayConfig, PAPER_ARRAY
+from .im2col import ARRAY_LAYERS
 from .latency import mapping_stats
 
 #: The paper uses FP16 weights and activations (§V-A.2).
@@ -81,6 +82,8 @@ class TrafficReport:
 
 def layer_traffic(node: Node, array: ArrayConfig) -> Optional[LayerTraffic]:
     """Traffic for one node, or None for layers with no array compute."""
+    if not isinstance(node.layer, ARRAY_LAYERS):
+        return None
     stats = mapping_stats(node.layer, node.in_shape, node.out_shape, array)
     if stats.cycles == 0:
         return None

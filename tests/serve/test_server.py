@@ -8,6 +8,7 @@ passes; one test runs the real ``graph`` engine end to end.
 from __future__ import annotations
 
 import asyncio
+import logging
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.serve import (
     ServeConfig,
     Status,
 )
+from repro.serve.blas import find_openblas
 
 KEY = ModelKey("mobilenet_v3_small", resolution=32)
 KEY2 = ModelKey("mobilenet_v1", resolution=32)
@@ -56,6 +58,81 @@ class TestLifecycle:
             ServeConfig(engine="gpu")
         with pytest.raises(ValueError):
             ServeConfig(max_queue=0)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@pytest.mark.skipif(find_openblas() is None,
+                    reason="numpy does not run on OpenBLAS here")
+class TestBlasHold:
+    """A running server holds OpenBLAS at one thread; the last stop
+    restores the count the first start found."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        blas = find_openblas()
+        saved = blas.threads
+        blas.set_threads(2)
+        yield blas
+        blas.set_threads(saved)
+
+    def test_start_stop_restores_count(self, two_threads):
+        logger = logging.getLogger("repro.serve.server")
+        handler, level = _Records(), logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+
+        async def main():
+            server = InferenceServer(ServeConfig(engine="analytical"))
+            assert server.health()["blas_threads"] == 2
+            await server.start()
+            assert two_threads.threads == 1
+            assert server.health()["blas_threads"] == 1
+            await server.stop()
+            assert two_threads.threads == 2
+            assert server.health()["blas_threads"] == 2
+        try:
+            run(main())
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        started = [m for m in handler.messages if m.startswith("server started")]
+        assert len(started) == 1 and "blas_threads=1" in started[0]
+
+    def test_held_until_last_server_stops(self, two_threads):
+        async def main():
+            first = InferenceServer(ServeConfig(engine="analytical"))
+            second = InferenceServer(ServeConfig(engine="analytical"))
+            await first.start()
+            await second.start()
+            await first.stop()
+            assert two_threads.threads == 1
+            await first.start()
+            await second.stop()
+            assert two_threads.threads == 1
+            await first.stop()
+            assert two_threads.threads == 2
+        run(main())
+
+    def test_failed_start_releases_hold(self, two_threads):
+        async def main():
+            server = InferenceServer(ServeConfig(
+                engine="analytical", preload=[ModelKey("no_such_net")]))
+            with pytest.raises(KeyError):
+                await server.start()
+            assert two_threads.threads == 2
+            assert not server.health()["ready"]
+            async with InferenceServer(ServeConfig(engine="analytical")):
+                assert two_threads.threads == 1
+            assert two_threads.threads == 2
+        run(main())
 
 
 class TestServing:

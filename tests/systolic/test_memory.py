@@ -4,12 +4,16 @@ import pytest
 
 from repro.core import FuSeVariant, to_fuseconv
 from repro.ir import Conv2D, DepthwiseConv2D, Network, PointwiseConv2D
-from repro.models import build_model
+from repro.models import PAPER_NETWORKS, build_model
+from repro.obs import get_registry
 from repro.systolic import (
+    ARRAY_LAYERS,
     ArrayConfig,
     BYTES_PER_VALUE,
     GemmDims,
+    clear_mapping_cache,
     layer_traffic,
+    mapping_stats,
     os_gemm_stats,
     traffic_report,
 )
@@ -74,3 +78,48 @@ class TestNetworkTraffic:
     def test_report_covers_compute_layers_only(self, small_array):
         report = traffic_report(tiny_net(), small_array)
         assert {l.name for l in report.layers} == {"conv", "dw", "pw"}
+
+
+class TestArrayLayerSkip:
+    """layer_traffic returns None for nodes outside ARRAY_LAYERS before the
+    mapping memo: the report keeps the rows costing every node gave, and
+    BN/activation/pooling nodes never touch the memo."""
+
+    @pytest.fixture(scope="class", params=sorted(PAPER_NETWORKS))
+    def networks(self, request):
+        array = ArrayConfig.square(64)
+        baseline = build_model(request.param)
+        return array, [baseline,
+                       to_fuseconv(baseline, FuSeVariant.HALF, array)]
+
+    def test_rows_equal_costing_every_node(self, networks):
+        array, nets = networks
+        for net in nets:
+            expected = []
+            for node in net:
+                stats = mapping_stats(node.layer, node.in_shape,
+                                      node.out_shape, array)
+                if stats.cycles:
+                    expected.append(
+                        (node.name, stats.sram_reads, stats.sram_writes))
+            rows = [(l.name, l.sram_reads, l.sram_writes)
+                    for l in traffic_report(net, array).layers]
+            assert rows == expected, net.name
+
+    def test_non_array_node_bumps_no_cache_counter(self, networks):
+        array, nets = networks
+        registry = get_registry()
+        clear_mapping_cache()
+        registry.reset()
+        skipped = 0
+        for net in nets:
+            for node in net:
+                if not isinstance(node.layer, ARRAY_LAYERS):
+                    assert layer_traffic(node, array) is None
+                    skipped += 1
+        assert skipped > 0
+        for name in ("latency.cache.hit", "latency.cache.miss"):
+            counter = registry.get(name)
+            assert counter is None or counter.value == 0, name
+        traffic_report(nets[0], array)
+        assert registry.get("latency.cache.miss").value > 0
