@@ -459,6 +459,8 @@ def _add_variant_option(parser: argparse.ArgumentParser) -> None:
 
 def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     """Knobs shared by ``serve`` and in-process ``loadgen``."""
+    from .serve import ServeConfig
+
     group = parser.add_argument_group("serving")
     parser.add_argument("models", nargs="*", metavar="MODEL",
                         help="models to serve; 'name' or 'name:variant' "
@@ -485,8 +487,13 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
                             "(default 128)")
     group.add_argument("--slo-ms", type=float, default=200.0,
                        help="default per-request deadline budget (default 200)")
-    group.add_argument("--batch-timeout-ms", type=float, default=2.0,
-                       help="linger to fill a batch (default 2)")
+    group.add_argument("--batch-timeout-ms", type=float,
+                       default=ServeConfig.batch_timeout_ms,
+                       help="longest a batch lingers for more requests to "
+                            "join it (default 0: a free worker runs what is "
+                            "queued at once).  Raise it to a few ms only "
+                            "for stacked batches (--int8, --no-bitexact) "
+                            "under bursty load")
     group.add_argument("--no-bitexact", dest="bitexact", action="store_false",
                        help="stacked batch execution (faster, float-close "
                             "instead of bit-identical to unbatched)")

@@ -683,7 +683,7 @@ def _build_plan(
         ops=len(steps),
         folded_bn=folded,
         fused_activations=fused,
-        arena_bytes=arena.total_bytes + input_view.nbytes,
+        arena_bytes=arena.total_bytes,
         pooled_bytes=arena.pooled_bytes,
         naive_bytes=naive_bytes,
         int8_ops=int8_ops,

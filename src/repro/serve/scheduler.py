@@ -11,10 +11,15 @@ on the server's event loop.  Its contract:
   urgent lane (priority, then deadline), drop requests whose deadline
   already passed (*expiry* — executing them would waste array time a
   live request could use), size the batch with the cost model against
-  the earliest deadline's slack, and optionally linger up to
-  ``batch_timeout_ms`` to let compatible requests arrive and fill the
-  batch (bounded by the slack itself, so lingering never causes the
-  miss it is trying to amortize).
+  the earliest deadline's slack, and take what is already queued for
+  that lane.  The batcher is work-conserving by default
+  (``batch_timeout_ms=0``): a worker that pulls a batch runs it at once,
+  and batches still form under load because requests queue while every
+  worker is busy.  A positive ``batch_timeout_ms`` opts into lingering
+  up to that long for compatible requests to fill the batch (bounded by
+  the slack itself, so lingering never causes the miss it is trying to
+  amortize); each batch that actually waited is observed in the
+  ``serve.batch.linger_ms`` histogram.
 * :meth:`close` — wake every waiter; undrained requests resolve as
   ``CANCELLED``.
 """
@@ -45,7 +50,8 @@ class SLOScheduler:
         cost_model: BatchCostModel,
         max_queue: int = 128,
         max_batch: int = 8,
-        batch_timeout_ms: float = 2.0,
+        *,
+        batch_timeout_ms: float,  # no default: ServeConfig's is the one
         default_slo_ms: float = 100.0,
         workers: int = 1,
     ) -> None:
@@ -239,20 +245,28 @@ class SLOScheduler:
             )
             items = [head] + self.store.take(lane, planned - 1)
 
-            # Linger: let compatible requests arrive to fill the batch, but
-            # never longer than the slack that remains on the batch head.
+            # Linger (opt-in): let compatible requests arrive to fill the
+            # batch, but never longer than the slack that remains on the
+            # batch head.  At the default timeout of 0 nothing waits.
             linger_ms = min(self.batch_timeout_ms, slack)
-            deadline = time.monotonic() + linger_ms / 1000.0
-            while len(items) < planned and not self._closed:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                async with self._wakeup:
-                    try:
-                        await asyncio.wait_for(self._wakeup.wait(), remaining)
-                    except asyncio.TimeoutError:
+            if linger_ms > 0 and len(items) < planned and not self._closed:
+                start = time.monotonic()
+                deadline = start + linger_ms / 1000.0
+                while len(items) < planned and not self._closed:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
                         break
-                items.extend(self.store.take(lane, planned - len(items)))
+                    async with self._wakeup:
+                        try:
+                            await asyncio.wait_for(self._wakeup.wait(),
+                                                   remaining)
+                        except asyncio.TimeoutError:
+                            break
+                    items.extend(self.store.take(lane, planned - len(items)))
+                self._metrics.histogram(
+                    "serve.batch.linger_ms",
+                    buckets=(0.5, 1, 2, 5, 10, 20, 50, 100),
+                ).observe((time.monotonic() - start) * 1000.0)
 
             self._metrics.gauge("serve.queue.depth").set(len(self.store))
             batch = Batch(key=head.request.key, items=items,

@@ -52,7 +52,7 @@ class ServeConfig:
     workers: int = 2                 #: concurrent batch executors
     max_batch: int = 8               #: dynamic batch ceiling
     max_queue: int = 128             #: admission bound (backpressure)
-    batch_timeout_ms: float = 2.0    #: linger to fill a batch
+    batch_timeout_ms: float = 0.0    #: linger ceiling; 0 = work-conserving
     slo_ms: float = 100.0            #: default per-request deadline budget
     bitexact: bool = True            #: lockstep batch execution (see workers)
     compile: bool = True             #: compiled InferencePlan graph path

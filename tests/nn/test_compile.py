@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import FuSeVariant, to_fuseconv
+from repro.ir import Network, PointwiseConv2D
 from repro.models import build_model
 from repro.nn import CompileConfig, GraphExecutor, Tensor, compile_executor
 
@@ -97,6 +98,17 @@ class TestPlanStats:
         s = plan.stats
         assert 0 < s.arena_bytes < s.naive_bytes
         assert 0.0 < s.arena_saving < 1.0
+
+    def test_input_counted_once(self):
+        # A lone pointwise conv dedicates nothing but the plan input, so
+        # the arena is the slab pool plus one copy of the input.
+        net = Network("pw", input_shape=(4, 6, 6))
+        net.add(PointwiseConv2D(8), name="pw")
+        executor = GraphExecutor(net, seed=0)
+        executor.eval()
+        plan = compile_executor(executor, (2, 4, 6, 6), CompileConfig.exact())
+        s = plan.stats
+        assert s.arena_bytes == s.pooled_bytes + 2 * 4 * 6 * 6 * 4
 
     def test_exact_preset_folds_nothing(self):
         net = build_model("mobilenet_v3_small", num_classes=10, resolution=32)

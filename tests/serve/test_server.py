@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import threading
 
 import numpy as np
 import pytest
 
+from repro.obs import get_registry
 from repro.serve import (
     InferenceRequest,
     InferenceServer,
     ModelKey,
     ServeConfig,
     Status,
+    workers,
 )
 from repro.serve.blas import find_openblas
 
@@ -195,6 +198,84 @@ class TestServing:
         assert first.status is Status.ERROR
         assert "no_such_net" in first.error
         assert second.status is Status.OK
+
+
+def _lingered() -> int:
+    """Batches observed in ``serve.batch.linger_ms`` so far."""
+    histogram = get_registry().get("serve.batch.linger_ms")
+    return 0 if histogram is None else histogram.count
+
+
+class TestWorkConserving:
+    """The default batcher runs what is queued at once; lingering is an
+    opt-in, and each batch that waits is observed once."""
+
+    def test_default_lone_request_does_not_linger(self):
+        assert ServeConfig().batch_timeout_ms == 0.0
+
+        async def main():
+            config = ServeConfig(engine="analytical", preload=[KEY],
+                                 slo_ms=5000.0)
+            async with InferenceServer(config) as server:
+                before = _lingered()
+                response = await server.submit(_request())
+                return response, _lingered() - before
+        response, lingered = run(main())
+        assert response.status is Status.OK
+        assert lingered == 0
+
+    def test_opt_in_lone_request_lingers_once(self):
+        async def main():
+            config = ServeConfig(engine="analytical", preload=[KEY],
+                                 workers=1, max_batch=8,
+                                 batch_timeout_ms=20.0, slo_ms=5000.0)
+            async with InferenceServer(config) as server:
+                model = server.registry.get(KEY)
+                planned = server.cost_model.plan_batch_size(model, 5000.0, 8)
+                before = _lingered()
+                response = await server.submit(_request())
+                return planned, response, _lingered() - before
+        planned, response, lingered = run(main())
+        assert planned > 1
+        assert response.status is Status.OK and response.batch_size == 1
+        assert lingered == 1
+
+    def test_queued_burst_coalesces_without_linger(self, monkeypatch):
+        # The single worker is held by an event before it executes its
+        # first batch (outside the timed execution, so the cost model's
+        # calibration is untouched), a burst queues behind it, and the
+        # release lets the worker form the next batch from the queue alone.
+        entered, release = threading.Event(), threading.Event()
+        execute_batch = workers.execute_batch
+
+        def held(*args):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=30.0)
+            return execute_batch(*args)
+
+        monkeypatch.setattr(workers, "execute_batch", held)
+        burst = 11
+
+        async def main():
+            config = ServeConfig(engine="analytical", preload=[KEY],
+                                 workers=1, max_batch=8, slo_ms=5000.0)
+            async with InferenceServer(config) as server:
+                model = server.registry.get(KEY)
+                planned = server.cost_model.plan_batch_size(model, 5000.0, 8)
+                before = _lingered()
+                first = await server.scheduler.submit(_request())
+                assert await asyncio.to_thread(entered.wait, 30.0)
+                queued = [await server.scheduler.submit(_request())
+                          for _ in range(burst)]
+                release.set()
+                responses = await asyncio.gather(first, *queued)
+                return planned, responses, _lingered() - before
+        planned, responses, lingered = run(main())
+        assert all(r.status is Status.OK for r in responses)
+        assert responses[0].batch_size == 1
+        assert responses[1].batch_size == min(burst, planned) > 1
+        assert lingered == 0
 
 
 class TestOverload:
