@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pip + pytest underneath.
 
-.PHONY: install dev test trace-smoke bench-smoke serve-smoke chaos-smoke telemetry-smoke fleet-smoke gray-smoke bench results examples clean
+.PHONY: install dev test trace-smoke bench-smoke serve-smoke chaos-smoke telemetry-smoke fleet-smoke gray-smoke results examples clean
 
 install:
 	pip install -e .
@@ -109,13 +109,10 @@ gray-smoke:
 		--requests 120 --clients 4 --engine analytical --slo-ms 30000 \
 		--gray --check --quiet
 
-bench:
-	pytest benchmarks/ --benchmark-only
-
 # Regenerate every paper table/figure from scratch (benchmarks/results/).
 results:
 	rm -rf benchmarks/results
-	pytest benchmarks/ --benchmark-only
+	pytest benchmarks/
 
 examples:
 	python examples/quickstart.py

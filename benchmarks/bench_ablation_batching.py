@@ -26,8 +26,8 @@ def _sweep():
     return rows
 
 
-def test_batching_ablation(benchmark, save):
-    rows = benchmark(_sweep)
+def test_batching_ablation(save):
+    rows = _sweep()
     text = format_table(
         ["batch", "baseline cycles", "FuSe-Half cycles", "speedup"],
         [[b, f"{base:,}", f"{fast:,}", f"{s:.2f}x"] for b, base, fast, s in rows],

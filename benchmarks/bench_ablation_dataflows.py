@@ -27,8 +27,8 @@ def _sweep():
     return results
 
 
-def test_dataflow_ablation(benchmark, save):
-    results = benchmark(_sweep)
+def test_dataflow_ablation(save):
+    results = _sweep()
     rows = [
         [flow, f"{base:,}", f"{fuse:,}", f"{speedup:.2f}x"]
         for flow, (base, fuse, speedup) in results.items()

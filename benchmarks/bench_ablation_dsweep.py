@@ -13,8 +13,8 @@ two-worker process pool (one D point per task).
 from repro.analysis import DEFAULT_D_VALUES, d_knob_sweep, format_table
 
 
-def test_d_sweep(benchmark, save):
-    rows = benchmark(lambda: d_knob_sweep("mobilenet_v2", jobs=2))
+def test_d_sweep(save):
+    rows = d_knob_sweep("mobilenet_v2", jobs=2)
     text = format_table(
         ["variant", "MACs(M)", "params(M)", "cycles", "speedup"],
         [[label, f"{m:.0f}", f"{p:.2f}", f"{c:,}", f"{s:.2f}x"]

@@ -32,10 +32,8 @@ def _speedups(pipelined: bool):
     return out
 
 
-def test_pipelining_ablation(benchmark, save):
-    conservative = benchmark.pedantic(
-        lambda: _speedups(False), rounds=1, iterations=1
-    )
+def test_pipelining_ablation(save):
+    conservative = _speedups(False)
     pipelined = _speedups(True)
 
     rows = []

@@ -19,8 +19,8 @@ def _sweep():
     }
 
 
-def test_resolution_ablation(benchmark, save):
-    data = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_resolution_ablation(save):
+    data = _sweep()
     rows = [
         [name] + [f"{p.speedup:.2f}x" for p in points]
         for name, points in data.items()

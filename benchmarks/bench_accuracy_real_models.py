@@ -50,8 +50,8 @@ def _train_all():
     return results
 
 
-def test_real_model_accuracy(benchmark, save):
-    results = benchmark.pedantic(_train_all, rounds=1, iterations=1)
+def test_real_model_accuracy(save):
+    results = _train_all()
     rows = [
         [label, f"{params:,}", f"{acc * 100:.1f}%"]
         for label, (params, acc) in results.items()

@@ -49,8 +49,8 @@ def _measure():
     return rows
 
 
-def test_buffers_and_energy(benchmark, save):
-    rows = benchmark.pedantic(_measure, rounds=1, iterations=1)
+def test_buffers_and_energy(save):
+    rows = _measure()
     text = format_table(
         ["network", "SRAM (KiB)", "baseline uJ", "FuSe-Half uJ",
          "energy gain", "base int8 uJ", "FuSe int8 uJ", "int8 gain"],

@@ -9,9 +9,9 @@ from repro.analysis import figure_8a, format_table
 VARIANT_ORDER = ["baseline", "FuSe-Full", "FuSe-Half", "FuSe-Full-50%", "FuSe-Half-50%"]
 
 
-def test_fig8a_latency(benchmark, save, save_data):
+def test_fig8a_latency(save, save_data):
     # One process-pool task per network (see repro.systolic.parallel).
-    data = benchmark(lambda: figure_8a(jobs=2))
+    data = figure_8a(jobs=2)
     rows = [
         [network] + [f"{data[network][v]:.3f}" for v in VARIANT_ORDER]
         for network in data

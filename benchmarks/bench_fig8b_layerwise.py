@@ -13,8 +13,8 @@ def _blocks():
     return layerwise_speedups(build_model("mobilenet_v2"), FuSeVariant.FULL)
 
 
-def test_fig8b_layerwise(benchmark, save):
-    blocks = benchmark(_blocks)
+def test_fig8b_layerwise(save):
+    blocks = _blocks()
     rows = [
         [
             b.block,

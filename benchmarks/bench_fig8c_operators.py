@@ -16,8 +16,8 @@ from repro.ir import COMPUTE_CLASSES
 from repro.models import PAPER_NETWORKS
 
 
-def test_fig8c_operator_distribution(benchmark, save):
-    results = benchmark(figure_8c)
+def test_fig8c_operator_distribution(save):
+    results = figure_8c()
     rows = []
     for name, pair in results.items():
         for which in ("baseline", "fuse"):

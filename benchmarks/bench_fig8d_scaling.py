@@ -9,9 +9,9 @@ from repro.analysis import DEFAULT_SIZES, figure_8d, format_table
 from repro.core import FuSeVariant
 
 
-def test_fig8d_scaling(benchmark, save, save_data):
+def test_fig8d_scaling(save, save_data):
     # One process-pool task per network (see repro.systolic.parallel).
-    data = benchmark(lambda: figure_8d(variant=FuSeVariant.HALF, jobs=2))
+    data = figure_8d(variant=FuSeVariant.HALF, jobs=2)
     rows = [
         [network] + [f"{p.speedup:.2f}x" for p in points]
         for network, points in data.items()

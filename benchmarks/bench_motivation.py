@@ -27,8 +27,8 @@ def _measure():
     }
 
 
-def test_motivation(benchmark, save):
-    result = benchmark(_measure)
+def test_motivation(save):
+    result = _measure()
     rows = [
         ["ResNet-50 / MobileNet-V2 MACs", f"{result['mac_ratio']:.1f}x",
          f"{MOTIVATION_MAC_RATIO:.0f}x"],

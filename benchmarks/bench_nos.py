@@ -13,13 +13,11 @@ from repro.nos import pareto_front
 from repro.systolic import PAPER_ARRAY, estimate_network
 
 
-def test_nos_pareto(benchmark, save):
+def test_nos_pareto(save):
     baseline = build_model("mobilenet_v2")
     base_cycles = estimate_network(baseline, PAPER_ARRAY).total_cycles
 
-    front = benchmark.pedantic(
-        lambda: pareto_front(baseline, points=6), rounds=1, iterations=1
-    )
+    front = pareto_front(baseline, points=6)
 
     rows = []
     for result in front:

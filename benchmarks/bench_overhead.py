@@ -8,8 +8,8 @@ from repro.analysis import AREA_OVERHEAD, POWER_OVERHEAD, format_table
 from repro.hw import broadcast_overhead
 
 
-def test_overhead(benchmark, save):
-    report = benchmark(lambda: broadcast_overhead(32))
+def test_overhead(save):
+    report = broadcast_overhead(32)
     rows = [
         ["area", f"{report.area_overhead * 100:.2f}%", f"{AREA_OVERHEAD * 100:.2f}%"],
         ["power", f"{report.power_overhead * 100:.2f}%", f"{POWER_OVERHEAD * 100:.2f}%"],
@@ -27,9 +27,9 @@ def test_overhead(benchmark, save):
     assert abs(report.power_overhead - POWER_OVERHEAD) < 0.01
 
 
-def test_overhead_size_sweep(benchmark, save):
+def test_overhead_size_sweep(save):
     sizes = (8, 16, 32, 64, 128)
-    reports = benchmark(lambda: [broadcast_overhead(s) for s in sizes])
+    reports = [broadcast_overhead(s) for s in sizes]
     rows = [
         [f"{r.size}x{r.size}", f"{r.area_overhead * 100:.2f}%",
          f"{r.power_overhead * 100:.2f}%"]

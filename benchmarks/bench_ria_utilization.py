@@ -15,10 +15,8 @@ from repro.ria import ALGORITHMS, check_ria
 from repro.systolic import ArrayConfig, depthwise_utilization_bound, utilization_report
 
 
-def test_ria_classification(benchmark, save):
-    results = benchmark(
-        lambda: {name: check_ria(builder()) for name, builder in ALGORITHMS.items()}
-    )
+def test_ria_classification(save):
+    results = {name: check_ria(builder()) for name, builder in ALGORITHMS.items()}
     rows = [
         [name, "RIA (systolic-capable)" if r.is_ria else "NOT an RIA",
          str(len(r.violations))]
@@ -37,16 +35,11 @@ def test_ria_classification(benchmark, save):
     assert not results["conv2d_refactored"].is_ria
 
 
-def test_utilization_bound(benchmark, save):
+def test_utilization_bound(save):
     array = ArrayConfig.square(64)
-
-    def measure():
-        net = build_model("mobilenet_v1")
-        base = utilization_report(net, array)
-        fuse = utilization_report(to_fuseconv(net, FuSeVariant.HALF, array), array)
-        return base, fuse
-
-    base, fuse = benchmark(measure)
+    net = build_model("mobilenet_v1")
+    base = utilization_report(net, array)
+    fuse = utilization_report(to_fuseconv(net, FuSeVariant.HALF, array), array)
     bound = depthwise_utilization_bound(array)
     rows = [
         ["depthwise class (baseline)", f"{base.by_class()['depthwise'] * 100:.2f}%"],

@@ -53,8 +53,8 @@ def _train_all():
     return results
 
 
-def test_table1_accuracy_proxy(benchmark, save):
-    results = benchmark.pedantic(_train_all, rounds=1, iterations=1)
+def test_table1_accuracy_proxy(save):
+    results = _train_all()
     rows = [
         [label, params, f"{acc * 100:.1f}% ± {spread * 100:.1f}"]
         for label, (params, acc, spread) in results.items()

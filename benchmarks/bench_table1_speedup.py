@@ -10,9 +10,9 @@ the reproduced shape.
 from repro.analysis import calibration_stats, format_table, table1
 
 
-def test_table1_speedup(benchmark, save):
+def test_table1_speedup(save):
     # One process-pool task per network (see repro.systolic.parallel).
-    rows = benchmark(lambda: table1(jobs=2))
+    rows = table1(jobs=2)
     stats = calibration_stats(rows)
     table_rows = [
         [

@@ -1,53 +1,28 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-artifact generators.
 
 Every benchmark regenerates one of the paper's tables or figures, prints
 it, and also writes it to ``benchmarks/results/<name>.txt`` so the output
 survives pytest's capture.  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/
 
-(Benchmark timing measures the experiment computation itself; the tables
-are the scientific output.)
-
-Observability: each saved result gets a ``<name>.metrics.json`` sidecar —
-a snapshot of the process metrics registry (``repro.metrics/v1`` schema) —
-and benchmarked tests carry the sidecar path plus series count in their
-``extra_info``.  Sidecars are written *compact* by default (one series
-per metric name via :func:`repro.obs.summarize_metrics`): the full
-per-layer label fan-out runs to megabytes per file and is diagnostic
-exhaust, not a result.  Set ``REPRO_BENCH_FULL_METRICS=1`` to keep the
-raw snapshots when debugging a specific run.
+Each table is computed once; the tables are the output and nothing here
+is timed (wall time is measured by ``perfbench/``).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.obs import get_registry, metrics_payload, summarize_metrics
-
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def _write_metrics_sidecar(name: str) -> Path:
-    """Snapshot the default registry next to a result file."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.metrics.json"
-    payload = metrics_payload(extra={"result": name})
-    if not os.environ.get("REPRO_BENCH_FULL_METRICS"):
-        payload = summarize_metrics(payload)
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
-    return path
-
-
 def save_result(name: str, text: str) -> None:
-    """Print a result table and persist it (plus metrics) under results/."""
+    """Print a result table and persist it under results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    _write_metrics_sidecar(name)
     print(f"\n{text}\n")
 
 
@@ -67,21 +42,3 @@ def save():
 @pytest.fixture
 def save_data():
     return save_csv
-
-
-@pytest.fixture(autouse=True)
-def attach_metrics(request):
-    """Attach the metrics snapshot to every benchmark result."""
-    # Resolve the fixture up front: during teardown it may already be
-    # finalized and getfixturevalue() would raise.
-    benchmark = (
-        request.getfixturevalue("benchmark")
-        if "benchmark" in request.fixturenames
-        else None
-    )
-    yield
-    if benchmark is None:
-        return
-    sidecar = _write_metrics_sidecar(request.node.name)
-    benchmark.extra_info["metrics_json"] = str(sidecar)
-    benchmark.extra_info["metrics_series"] = len(get_registry())

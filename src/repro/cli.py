@@ -474,19 +474,22 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="weight seed of every served model")
     group.add_argument("--engine", choices=("graph", "array", "analytical"),
-                       default="graph",
+                       default=ServeConfig.engine,
                        help="batch executor: numpy forward (graph, default), "
                             "functional simulated hardware (array), or cost "
                             "model only (analytical)")
-    group.add_argument("--workers", type=int, default=2,
-                       help="concurrent batch executors (default 2)")
-    group.add_argument("--max-batch", type=int, default=8,
-                       help="dynamic batch ceiling (default 8)")
-    group.add_argument("--max-queue", type=int, default=128,
+    group.add_argument("--workers", type=int, default=ServeConfig.workers,
+                       help="concurrent batch executors "
+                            f"(default {ServeConfig.workers})")
+    group.add_argument("--max-batch", type=int, default=ServeConfig.max_batch,
+                       help="dynamic batch ceiling "
+                            f"(default {ServeConfig.max_batch})")
+    group.add_argument("--max-queue", type=int, default=ServeConfig.max_queue,
                        help="admission bound; beyond it requests are shed "
-                            "(default 128)")
-    group.add_argument("--slo-ms", type=float, default=200.0,
-                       help="default per-request deadline budget (default 200)")
+                            f"(default {ServeConfig.max_queue})")
+    group.add_argument("--slo-ms", type=float, default=ServeConfig.slo_ms,
+                       help="default per-request deadline budget "
+                            f"(default {ServeConfig.slo_ms:g})")
     group.add_argument("--batch-timeout-ms", type=float,
                        default=ServeConfig.batch_timeout_ms,
                        help="longest a batch lingers for more requests to "
@@ -514,10 +517,10 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
                        action="store_false",
                        help="disable the snapshot loop feeding live stats "
                             "and burn-rate alerts (see docs/observability.md)")
-    group.add_argument("--snapshot-interval", type=float, default=1.0,
-                       metavar="S",
+    group.add_argument("--snapshot-interval", type=float,
+                       default=ServeConfig.snapshot_interval_s, metavar="S",
                        help="telemetry sampling cadence in seconds "
-                            "(default 1.0)")
+                            f"(default {ServeConfig.snapshot_interval_s:g})")
     group.add_argument("--metrics-port", type=int, default=None, metavar="P",
                        help="also expose GET /metrics + /telemetry over HTTP "
                             "on this port (0 = ephemeral; default off — "
@@ -530,9 +533,11 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
                        help="magnitude-prune + column-combine the non-exact "
                             "plan flavors to this fraction (plan metadata "
                             "on the existing flavors; default dense)")
-    group.add_argument("--pack-gamma", type=int, default=8, metavar="G",
+    group.add_argument("--pack-gamma", type=int,
+                       default=ServeConfig.pack_gamma, metavar="G",
                        help="column-combining group-size limit for "
-                            "--sparsity (default 8; 1 = identity packing)")
+                            f"--sparsity (default {ServeConfig.pack_gamma}; "
+                            "1 = identity packing)")
     group.add_argument("--require-warmup", action="store_true",
                        help="hold health at warming (unroutable in a fleet) "
                             "until 'op: warmup' has pre-compiled the served "
@@ -780,7 +785,13 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def _replica_serve_argv(args: argparse.Namespace) -> List[str]:
-    """The ``repro serve`` argv tail replicating this command's knobs."""
+    """The ``repro serve`` argv tail replicating this command's knobs.
+
+    Every knob that shapes a replica's :class:`ServeConfig` is forwarded,
+    so a process replica serves and costs exactly like an in-process one.
+    Left out: ``--metrics-port`` (per replica) and ``--require-warmup``
+    (the supervisor appends it to warm spawns).
+    """
     argv: List[str] = list(args.models or [])
     if args.net:
         argv += ["--net", args.net]
@@ -793,8 +804,19 @@ def _replica_serve_argv(args: argparse.Namespace) -> List[str]:
         "--max-queue", str(args.max_queue),
         "--slo-ms", str(args.slo_ms),
         "--batch-timeout-ms", str(args.batch_timeout_ms),
+        "--snapshot-interval", str(args.snapshot_interval),
+        "--array", str(args.array), "--dataflow", args.dataflow,
+        "--datawidth", str(args.datawidth),
+        "--pack-gamma", str(args.pack_gamma),
         "--quiet",
     ]
+    if args.pipelined:
+        argv.append("--pipelined")
+    jobs = _effective_jobs(args)
+    if jobs is not None:
+        argv += ["--jobs", str(jobs)]
+    if args.cache_dir is not None:
+        argv += ["--cache-dir", args.cache_dir]
     if args.int8:
         argv.append("--int8")
     if not args.compile:
@@ -803,11 +825,12 @@ def _replica_serve_argv(args: argparse.Namespace) -> List[str]:
         argv.append("--no-bitexact")
     if not args.resilience:
         argv.append("--no-resilience")
+    if not args.telemetry:
+        argv.append("--no-telemetry")
     if args.plan_cache_cap is not None:
         argv += ["--plan-cache-cap", str(args.plan_cache_cap)]
     if args.sparsity is not None:
-        argv += ["--sparsity", str(args.sparsity),
-                 "--pack-gamma", str(args.pack_gamma)]
+        argv += ["--sparsity", str(args.sparsity)]
     return argv
 
 

@@ -1,13 +1,12 @@
 """Rewrite observability sidecars as compact summaries: ``python -m repro.obs.compact``.
 
-The benchmark harness historically committed full-fidelity metrics
-snapshots — megabytes of per-layer counter series per sidecar — and the
-serving stack now adds span sidecars with one trace chain per request.
-This tool applies :func:`repro.obs.export.summarize_metrics` /
+A ``--metrics-out`` snapshot of a long run carries megabytes of
+per-layer counter series, and a serving ``--trace-out`` sidecar holds one
+trace chain per request.  This tool applies
+:func:`repro.obs.export.summarize_metrics` /
 :func:`repro.obs.export.summarize_trace` in place::
 
-    python -m repro.obs.compact benchmarks/results/*.metrics.json \
-        benchmarks/results/*.trace.json
+    python -m repro.obs.compact run.metrics.json run.trace.json
 
 The sidecar kind is inferred from its shape (``traceEvents`` marks a
 trace).  Already-compact files (``header.metrics_compact`` /

@@ -18,7 +18,8 @@ order) renders correctly.
 The tracer starts **disabled** and :meth:`Tracer.span` then returns a
 shared no-op context manager — the cost of an instrumented call site is
 one attribute check, which is what lets the simulator keep tracing hooks
-in hot paths (the bound is benchmarked by ``bench_simulator_micro.py``).
+in hot paths.  No gate bounds it; perfbench's per-layer
+``trace.overhead_pct`` (ungated) measures traced against untraced runs.
 
 **Bounded buffer**: the event store is a fixed-size ring
 (``capacity`` events, default :data:`DEFAULT_TRACE_CAPACITY`).  A long

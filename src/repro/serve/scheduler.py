@@ -48,12 +48,13 @@ class SLOScheduler:
         self,
         registry: ModelRegistry,
         cost_model: BatchCostModel,
-        max_queue: int = 128,
-        max_batch: int = 8,
         *,
-        batch_timeout_ms: float,  # no default: ServeConfig's is the one
-        default_slo_ms: float = 100.0,
-        workers: int = 1,
+        # No defaults: ServeConfig holds the one set of serving defaults.
+        max_queue: int,
+        max_batch: int,
+        batch_timeout_ms: float,
+        default_slo_ms: float,
+        workers: int,
     ) -> None:
         self.registry = registry
         self.cost_model = cost_model

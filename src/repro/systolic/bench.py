@@ -2,14 +2,13 @@
 
 Times the same workloads through both :class:`SystolicArraySim` engines,
 checks byte-exact agreement (values *and* cycle counts), and reports the
-speedup per dataflow.  Used three ways:
+speedup per dataflow.  Used two ways:
 
 * ``python -m repro.systolic.bench --size 32 --out results.json`` — ad-hoc
   measurement with a JSON report;
 * ``--min-speedup N`` turns it into a regression gate (non-zero exit when
-  any workload's speedup drops below ``N``; see ``make bench-smoke``);
-* :func:`compare_engines` is imported by ``benchmarks/bench_simulator_micro.py``
-  to record the speedup into its results sidecar.
+  any workload's speedup drops below ``N``; ``make bench-smoke`` runs it
+  with ``N = 5``).
 """
 
 from __future__ import annotations

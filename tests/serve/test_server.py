@@ -21,6 +21,8 @@ from repro.serve import (
     ModelKey,
     ServeConfig,
     Status,
+    WorkloadSpec,
+    run_workload,
     workers,
 )
 from repro.serve.blas import find_openblas
@@ -297,6 +299,46 @@ class TestOverload:
         assert all(r.retry_after_ms is not None and r.retry_after_ms > 0
                    for r in shed)
         assert any(r.status is Status.OK for r in responses)
+
+    def test_open_loop_overload_on_graph_engine_sheds(self, monkeypatch):
+        # An open-loop stream over an 8-slot queue against the real graph
+        # engine.  The single worker is held in its first batch until the
+        # last arrival is submitted, so the overload does not depend on
+        # how fast this host runs a forward pass: at most one batch plus
+        # the queue are admitted, everything else must shed.
+        entered, release = threading.Event(), threading.Event()
+        execute_batch = workers.execute_batch
+
+        def held(*args):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=30.0)
+            return execute_batch(*args)
+
+        monkeypatch.setattr(workers, "execute_batch", held)
+        spec = WorkloadSpec(keys=[KEY], requests=60, mode="open",
+                            rate=2000.0, seed=1)
+
+        async def main():
+            config = ServeConfig(engine="graph", preload=[KEY], workers=1,
+                                 max_batch=2, max_queue=8, slo_ms=30000.0)
+            sent = 0
+            async with InferenceServer(config) as server:
+                async def submit(request):
+                    nonlocal sent
+                    sent += 1
+                    if sent == spec.requests:
+                        release.set()
+                    return await server.submit(request)
+
+                return await run_workload(submit, spec)
+        report = run(main())
+        assert entered.is_set()
+        assert report.errors == 0
+        assert report.total == spec.requests
+        assert report.shed >= spec.requests - 2 - 8
+        assert report.ok > 0
+        assert 0.0 < report.shed_rate < 1.0
 
     def test_expired_requests_dropped_not_executed(self):
         async def main():

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import (
+    _replica_serve_argv,
+    _serve_config,
+    _serve_keys,
+    build_parser,
+    main,
+)
 
 
 class TestCli:
@@ -136,3 +142,46 @@ class TestCompileStats:
     def test_exact_excludes_other_presets(self, capsys, flags):
         assert main(["compile-stats", "mobilenet_v3_small", *flags]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+
+class TestServeDefaults:
+    def test_cli_defaults_are_serve_config_defaults(self):
+        from dataclasses import replace
+
+        from repro.serve import ServeConfig
+
+        args = build_parser().parse_args(["serve"])
+        # The CLI always names its array; ServeConfig leaves it to default.
+        assert replace(_serve_config(args, []), array=None) == ServeConfig()
+
+
+class TestFleetReplicaArgv:
+    """A process replica's ``repro serve`` argv rebuilds the fleet's config."""
+
+    @staticmethod
+    def _config(argv):
+        args = build_parser().parse_args(argv)
+        return args, _serve_config(args, _serve_keys(args))
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["mobilenet_v1:half", "--resolution", "32", "--seed", "3",
+         "--engine", "analytical", "--workers", "3", "--max-batch", "4",
+         "--max-queue", "16", "--slo-ms", "250", "--batch-timeout-ms", "1.5",
+         "--array", "32", "--dataflow", "ws", "--pipelined",
+         "--datawidth", "8", "--jobs", "2", "--cache-dir", "memo",
+         "--no-telemetry", "--snapshot-interval", "0.25", "--int8",
+         "--no-compile", "--no-bitexact", "--no-resilience",
+         "--plan-cache-cap", "5", "--sparsity", "0.5", "--pack-gamma", "4"],
+    ], ids=["defaults", "every-knob"])
+    def test_replica_config_equals_fleet_config(self, flags):
+        args, config = self._config(["fleet", *flags])
+        _, replica = self._config(["serve", *_replica_serve_argv(args)])
+        assert replica == config
+
+    def test_metrics_port_and_warmup_stay_per_replica(self):
+        args, _ = self._config(["fleet", "--metrics-port", "9100",
+                                "--require-warmup"])
+        argv = _replica_serve_argv(args)
+        assert "--metrics-port" not in argv
+        assert "--require-warmup" not in argv

@@ -6,7 +6,9 @@ ever lands in the git index again, and checks that ``.gitignore`` keeps
 ignoring the patterns that caused it.
 
 The user-facing docs cite Makefile targets and benchmark files by name;
-a deleted target or bench must take its citations with it.
+a deleted target or bench must take its citations with it.  Every
+committed file under ``benchmarks/results/`` is a table some generator
+still writes, so ``make results`` regenerates all of them.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def test_gitignore_covers_bytecode(in_git_repo: None) -> None:
 
 def _doc_files() -> list[Path]:
     return [REPO_ROOT / "README.md", REPO_ROOT / "EXPERIMENTS.md",
-            *sorted((REPO_ROOT / "docs").glob("*.md"))]
+            REPO_ROOT / "DESIGN.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
 
 
 def test_docs_cite_existing_make_targets() -> None:
@@ -89,3 +91,22 @@ def test_docs_cite_existing_benchmark_files() -> None:
         if not (REPO_ROOT / path.rstrip(".")).exists()
     ]
     assert not stale, "docs cite missing benchmark files:\n" + "\n".join(stale)
+
+
+def test_committed_results_have_a_generator(in_git_repo: None) -> None:
+    sources = "\n".join(
+        path.read_text() for path in (REPO_ROOT / "benchmarks").glob("*.py")
+    )
+    written = {
+        f"benchmarks/results/{name}.txt"
+        for name in re.findall(r"\bsave\(\s*\"([\w-]+)\"", sources)
+    } | {
+        f"benchmarks/results/{name}.csv"
+        for name in re.findall(r"\bsave_data\(\s*\"([\w-]+)\"", sources)
+    }
+    orphans = sorted(set(_git("ls-files", "benchmarks/results").splitlines())
+                     - written)
+    assert not orphans, (
+        "committed results that no save()/save_data() call writes:\n"
+        + "\n".join(orphans[:20])
+    )
