@@ -134,8 +134,7 @@ def network_packing(network, sparsity: float, gamma: int,
     executor = GraphExecutor(network, seed=seed)
     executor.eval()
     pipeline = Pipeline.from_config(config)
-    return pipeline.run(executor, network, (1,) + tuple(network.input_shape),
-                        config)
+    return pipeline.run(executor, network, config)
 
 
 def _variant_nets(name: str, variants, **model_kwargs):

@@ -47,8 +47,14 @@ Example:
 
 A plan freezes the model: weights (folded or referenced) and shapes are
 captured at compile time, so recompile after mutating parameters, and
-build one plan per batch size.  ``run()`` is serialized by an internal
-lock because concurrent runs would race on the shared arena.
+build one plan per batch size.  Compilation has two halves: the pass
+pipeline builds a batch-independent :class:`~repro.nn.passes.Transform`
+(BN folds, pruning, int8 calibration and weight codes), and a lowering
+lays out the arena and binds the step closures for one input shape.
+``compile_executor(..., transform=plan.transform)`` lowers an existing
+transform at another batch size without re-running the pipeline.
+``run()`` is serialized by an internal lock because concurrent runs
+would race on the shared arena.
 """
 
 from __future__ import annotations
@@ -76,12 +82,7 @@ from .passes import (
     Pipeline,
     Transform,
 )
-from .quantize import (
-    activation_lut,
-    lut_uint8_order,
-    observe_plan,
-    quantize_weights,
-)
+from .quantize import activation_lut, lut_uint8_order, observe_plan
 
 __all__ = ["CompileConfig", "PlanStats", "InferencePlan", "compile_executor"]
 
@@ -90,9 +91,13 @@ _log = get_logger("nn.compile")
 #: Code width of int8 plans: symmetric codes in ``[-_LEVELS, _LEVELS]``.
 QUANTIZE_BITS = 8
 _LEVELS = 2 ** (QUANTIZE_BITS - 1) - 1
-#: Synthetic calibration set: seeded standard-normal batches of the plan's
-#: input shape, used when ``CompileConfig.calibration_data`` is unset.
+#: Synthetic calibration set, used when ``CompileConfig.calibration_data``
+#: is unset: ``CALIBRATION_BATCHES`` seeded standard-normal batches of
+#: ``CALIBRATION_BATCH`` images each.  One fixed set per model, whatever
+#: the plan's batch size, so the batch an input rides in moves its int8
+#: answer by float rounding only.
 CALIBRATION_BATCHES = 2
+CALIBRATION_BATCH = 8
 CALIBRATION_SEED = 2021
 
 
@@ -122,7 +127,7 @@ class CompileConfig:
     #: Optional representative calibration inputs — a tuple of (N, C, H, W)
     #: float arrays (any N, same CHW as the plan).  Without it the
     #: observer pass runs on :data:`CALIBRATION_BATCHES` seeded
-    #: standard-normal batches, which
+    #: standard-normal batches of :data:`CALIBRATION_BATCH` images, which
     #: matches serving's seed-derived inputs but NOT a model trained on a
     #: real data distribution: always calibrate on real data when the
     #: model has been trained.  Excluded from config equality/hash.
@@ -410,8 +415,12 @@ class InferencePlan:
         self.config = config
         self.stats = stats
         self.labels = labels
+        #: The batch-independent :class:`~repro.nn.passes.Transform` this
+        #: plan was lowered from (set by compile_executor); pass it back
+        #: as ``transform=`` to lower the same model at another shape.
+        self.transform: Optional[Transform] = None
         #: Ordered :class:`~repro.nn.passes.PassResult` records of the
-        #: pipeline that produced this plan (set by compile_executor).
+        #: pipeline that produced ``transform``.
         self.pass_results: List[PassResult] = []
         #: :class:`repro.ir.packing.NetworkPacking` when the pipeline ran
         #: column combining — feed it to the systolic latency model and
@@ -493,6 +502,7 @@ def compile_executor(
     executor,
     input_shape: Sequence[int],
     config: Optional[CompileConfig] = None,
+    transform: Optional[Transform] = None,
 ) -> InferencePlan:
     """Compile a :class:`~repro.nn.graph.GraphExecutor` into a static plan.
 
@@ -500,10 +510,23 @@ def compile_executor(
         executor: an **eval-mode** executor (BatchNorm running statistics
             are baked in as constants).
         input_shape: concrete ``(N, C, H, W)`` the plan will accept.
-        config: optimization switches; default :class:`CompileConfig()`.
+        config: optimization switches; default :class:`CompileConfig()`,
+            or the transform's config when ``transform`` is given.
+        transform: a :class:`~repro.nn.passes.Transform` of this executor
+            and config from an earlier compile (``plan.transform``).  The
+            pass pipeline is skipped and only the lowering runs; the plan
+            is byte-identical to one compiled without it.
     """
-    config = config or CompileConfig()
     inject("nn.compile")
+    if transform is None:
+        config = config or CompileConfig()
+    else:
+        if transform.executor is not executor:
+            raise ValueError("transform was built for another executor")
+        if config is not None and config != transform.config:
+            raise ValueError(
+                f"transform was built for {transform.config}, not {config}")
+        config = transform.config
     network: Network = executor.network
     if executor.training:
         raise ValueError(
@@ -520,10 +543,12 @@ def compile_executor(
     start = time.perf_counter()
     with get_tracer().span("nn.compile", category="nn", network=network.name,
                            batch=input_shape[0], int8=config.quantize):
-        pipeline = Pipeline.from_config(config)
-        transform = pipeline.run(executor, network, input_shape, config)
+        if transform is None:
+            transform = Pipeline.from_config(config).run(
+                executor, network, config)
         plan = _build_plan(executor, network, input_shape, config, transform)
     plan.stats.compile_ms = (time.perf_counter() - start) * 1000.0
+    plan.transform = transform
     plan.pass_results = transform.results
     plan.packing = transform.packing
     plan.stats.sparsity = transform.sparsity
@@ -978,8 +1003,10 @@ def _build_step(
 #
 # Calibration runs a float plan of identical fuse structure (BN folded,
 # activations *not* fused, so both pre- and post-activation ranges are
-# observed) over a few seeded standard-normal batches — the same
-# distribution serving inputs are drawn from (``make_input``).
+# observed) over one fixed set of seeded standard-normal images — the
+# same distribution serving inputs are drawn from (``make_input``).  It
+# and the weight codes belong to the batch-independent transform, so
+# every batch size of one model shares them.
 
 
 @dataclass
@@ -1028,9 +1055,34 @@ def _requant(src, acc, out, m, b, low, high,
     return run
 
 
+def _calibration_batches(config: CompileConfig,
+                         chw: Sequence[int]) -> List[np.ndarray]:
+    """The calibration set: ``config.calibration_data`` validated against
+    the network's ``(C, H, W)``, else the synthetic seeded set."""
+    chw = tuple(int(d) for d in chw)
+    if config.calibration_data is None:
+        rng = np.random.default_rng(CALIBRATION_SEED)
+        return [rng.standard_normal((CALIBRATION_BATCH,) + chw)
+                .astype(np.float32) for _ in range(CALIBRATION_BATCHES)]
+    batches = [np.asarray(b, dtype=np.float32)
+               for b in config.calibration_data]
+    if not batches:
+        raise ValueError("calibration_data must hold at least one batch")
+    for b in batches:
+        if b.ndim != 4 or b.shape != batches[0].shape:
+            raise ValueError(
+                "calibration batches must share one (N, C, H, W) shape; "
+                f"got {[tuple(x.shape) for x in batches]}")
+    if batches[0].shape[1:] != chw:
+        raise ValueError(
+            f"calibration batches have shape {tuple(batches[0].shape)}, "
+            f"the network input is {chw} (C, H, W must match)")
+    return batches
+
+
 def _calibrate_activations(
-    executor, network: Network, input_shape: Tuple[int, ...],
-    config: CompileConfig, transform: Optional[Transform] = None,
+    executor, network: Network, config: CompileConfig,
+    batches: List[np.ndarray], transform: Optional[Transform] = None,
 ) -> Dict[str, float]:
     """Observer pass: per-step max-abs ranges from a float folded plan.
 
@@ -1043,32 +1095,12 @@ def _calibrate_activations(
     """
     calib_config = CompileConfig(fold_bn=config.fold_bn,
                                  fuse_activations=False, constant_fold=True)
-    if config.calibration_data is not None:
-        batches = [np.asarray(b, dtype=np.float32)
-                   for b in config.calibration_data]
-        if not batches:
-            raise ValueError("calibration_data must hold at least one batch")
-        for b in batches:
-            if b.ndim != 4 or b.shape != batches[0].shape:
-                raise ValueError(
-                    "calibration batches must share one (N, C, H, W) shape; "
-                    f"got {[tuple(x.shape) for x in batches]}")
-        if batches[0].shape[1:] != tuple(input_shape[1:]):
-            raise ValueError(
-                f"calibration batches have shape {tuple(batches[0].shape)}, "
-                f"plan input is {tuple(input_shape)} (C, H, W must match)")
-        calib_shape = batches[0].shape
-    else:
-        rng = np.random.default_rng(CALIBRATION_SEED)
-        calib_shape = input_shape
-        batches = [rng.standard_normal(input_shape).astype(np.float32)
-                   for _ in range(CALIBRATION_BATCHES)]
     calib_tf = Pipeline.from_config(calib_config).run(
-        executor, network, calib_shape, calib_config)
+        executor, network, calib_config)
     if transform is not None:
         calib_tf.weights.update(transform.weights)
-    calib_plan = _build_plan(executor, network, calib_shape, calib_config,
-                             calib_tf)
+    calib_plan = _build_plan(executor, network, batches[0].shape,
+                             calib_config, calib_tf)
     observers = observe_plan(calib_plan, batches)
     return {name: obs.amax for name, obs in observers.items()}
 
@@ -1185,7 +1217,7 @@ def _build_int8_step(
             return None  # grouped conv: no integer kernel
         prep, xq, s_in = as_codes(x_view, x_repr)
         s_out = _scale_for(amax, pn.out_name)
-        wq, sw_vec = quantize_weights(w4, bits=QUANTIZE_BITS, axis=0)
+        wq, sw_vec = transform.qweights[node.name]
         rep = _Repr("i8", s_out, pn.out_name)
 
         if depthwise:

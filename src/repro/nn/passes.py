@@ -51,6 +51,7 @@ from ..ir.packing import (
 from ..obs import get_logger, get_tracer
 from .functional import _pair
 from .layers import BatchNorm2d, DepthwiseConv2d, FuSeConv1d
+from .quantize import quantize_weights
 
 __all__ = [
     "PassResult",
@@ -155,9 +156,13 @@ class PassResult:
 
 
 class Transform:
-    """Mutable pipeline state for one ``(executor, input_shape, config)``.
+    """Mutable pipeline state for one ``(executor, config)``.
 
-    Products the plan driver and the systolic mapper consume:
+    A transform depends on the model and the config, never on the batch
+    size: :func:`repro.nn.compile.compile_executor` can lower one
+    transform at any number of input shapes (``transform=``), as long as
+    the executor's parameters stay as they were when it ran.  Products
+    the plan driver and the systolic mapper consume:
 
     * ``plan_nodes`` — fuse decisions (which BN / activation nodes
       disappear into their producers);
@@ -171,14 +176,14 @@ class Transform:
     * ``packing`` — :class:`repro.ir.packing.NetworkPacking` from the
       column-combine pass;
     * ``amax`` — activation calibration ranges from the quantize pass;
+    * ``qweights`` — per-node ``(int8 codes, per-channel scales)`` of
+      every conv-like layer, from the quantize pass;
     * ``results`` — ordered timed :class:`PassResult` records.
     """
 
-    def __init__(self, executor, network: Network,
-                 input_shape: Tuple[int, ...], config) -> None:
+    def __init__(self, executor, network: Network, config) -> None:
         self.executor = executor
         self.network = network
-        self.input_shape = tuple(input_shape)
         self.config = config
         self.plan_nodes: List[_PlanNode] = [_PlanNode(n) for n in network]
         self.weights: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
@@ -186,6 +191,7 @@ class Transform:
         self.masks: Dict[str, np.ndarray] = {}
         self.packing: Optional[NetworkPacking] = None
         self.amax: Optional[Dict[str, float]] = None
+        self.qweights: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self.results: List[PassResult] = []
 
     # ---------------------------------------------------- weight access
@@ -437,19 +443,36 @@ def _pass_column_combine(tf: Transform) -> PassResult:
 
 
 def _pass_quantize_int8(tf: Transform) -> PassResult:
-    """Calibrate activation ranges for the int8 plan.
+    """Calibrate activation ranges and quantize weights for int8 plans.
 
     Runs the observer pass (a float plan of identical fuse structure and
-    the transform's — possibly pruned — weights) and stores per-step
-    max-abs ranges in ``tf.amax``.  Imported lazily from
-    :mod:`repro.nn.compile` to keep the module dependency one-way.
+    the transform's — possibly pruned — weights) over one calibration set
+    whose size does not depend on any plan's batch, and stores per-step
+    max-abs ranges in ``tf.amax``.  Then quantizes every conv-like
+    layer's (folded, pruned) weights per output channel into
+    ``tf.qweights``.  Imported lazily from :mod:`repro.nn.compile` to
+    keep the module dependency one-way.
     """
-    from .compile import _calibrate_activations
+    from .compile import (
+        QUANTIZE_BITS,
+        _calibrate_activations,
+        _calibration_batches,
+    )
 
-    tf.amax = _calibrate_activations(
-        tf.executor, tf.network, tf.input_shape, tf.config, transform=tf)
-    return PassResult(name="quantize_int8",
-                      details={"calibrated_steps": len(tf.amax)})
+    batches = _calibration_batches(tf.config, tf.network.input_shape)
+    tf.amax = _calibrate_activations(tf.executor, tf.network, tf.config,
+                                     batches, transform=tf)
+    for pn in tf.plan_nodes:
+        node = pn.node
+        if isinstance(node.layer, _FOLDABLE) and \
+                not isinstance(node.layer, ir.Linear):
+            w4, _ = tf.weight_for(node)
+            tf.qweights[node.name] = quantize_weights(
+                w4, bits=QUANTIZE_BITS, axis=0)
+    return PassResult(name="quantize_int8", details={
+        "calibrated_steps": len(tf.amax),
+        "calibration_images": sum(len(b) for b in batches),
+    })
 
 
 _PASSES: Dict[str, Callable[[Transform], PassResult]] = {
@@ -497,10 +520,9 @@ class Pipeline:
             names.append("quantize_int8")
         return cls(names)
 
-    def run(self, executor, network: Network,
-            input_shape: Sequence[int], config) -> Transform:
+    def run(self, executor, network: Network, config) -> Transform:
         """Run every pass in order; returns the populated transform."""
-        tf = Transform(executor, network, tuple(input_shape), config)
+        tf = Transform(executor, network, config)
         tracer = get_tracer()
         for name in self.names:
             start = time.perf_counter()

@@ -58,6 +58,14 @@ class RegisteredModel:
     sparsity: Optional[float] = None
     #: Column-combining group-size limit for the sparse flavors.
     pack_gamma: int = 8
+    # One batch-independent Transform per flavor (BN folds, prune/pack,
+    # int8 calibration and weight codes), kept from the flavor's first
+    # successful compile and lowered again at every other batch size.
+    # It outlives plan evictions.
+    _transforms: Dict[str, object] = field(default_factory=dict)
+    # Serialize the compiles of one flavor, so a flavor's first compile
+    # runs its pass pipeline once however many threads ask for it.
+    _compile_locks: Dict[str, threading.Lock] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def array_executor(self, array: ArrayConfig, engine: str = "vector",
@@ -105,14 +113,18 @@ class RegisteredModel:
         ``exact`` always stays dense: its bit-exactness contract is
         against the unpruned eager forward.
 
+        Each flavor runs its pass pipeline — for int8 that includes the
+        calibration and the weight quantization — once per model: later
+        batch sizes lower the first plan's transform
+        (``compile_executor(..., transform=)``), which gives the same
+        bytes as a fresh compile at that batch size.
+
         The cache is LRU-bounded by ``plan_cache_cap`` (a compiled plan
         pins its weight tensors — across many (batch, flavor) pairs an
         unbounded cache is a slow leak); evictions are counted as
         ``serve.plan_evictions`` and an evicted plan simply recompiles
-        on its next use.
+        on its next use, without re-running the pipeline.
         """
-        from ..nn.compile import CompileConfig, compile_executor
-
         if flavor is None:
             flavor = "folded" if exact is False else "exact"
         if flavor not in self.FLAVORS:
@@ -123,6 +135,34 @@ class RegisteredModel:
             if cache_key in self._plans:
                 self._plans.move_to_end(cache_key)
                 return self._plans[cache_key]
+            compile_lock = self._compile_locks.setdefault(
+                flavor, threading.Lock())
+        with compile_lock:
+            with self._lock:  # a racing caller compiled it meanwhile
+                if cache_key in self._plans:
+                    self._plans.move_to_end(cache_key)
+                    return self._plans[cache_key]
+            plan = self._compile(int(batch), flavor)
+            if plan is not None:
+                self._transforms.setdefault(flavor, plan.transform)
+            with self._lock:
+                self._plans[cache_key] = plan
+                while (self.plan_cache_cap is not None
+                       and len(self._plans) > self.plan_cache_cap):
+                    evicted_key, _ = self._plans.popitem(last=False)
+                    get_registry().counter(
+                        "serve.plan_evictions", model=self.key.canonical()
+                    ).inc()
+                    _log.info("plan evicted (LRU)",
+                              model=self.key.canonical(),
+                              batch=evicted_key[0], flavor=evicted_key[1],
+                              cap=self.plan_cache_cap)
+                return plan
+
+    def _compile(self, batch: int, flavor: str):
+        """Compile one plan, or ``None`` (logged and counted) on failure."""
+        from ..nn.compile import CompileConfig, compile_executor
+
         if self.sparsity is not None and flavor != "exact":
             config = {
                 "folded": CompileConfig.sparse,
@@ -135,9 +175,9 @@ class RegisteredModel:
                 "int8": CompileConfig.int8,
             }[flavor]()
         try:
-            plan = compile_executor(
-                self.executor, (int(batch),) + tuple(self.input_shape), config
-            )
+            return compile_executor(
+                self.executor, (batch,) + tuple(self.input_shape), config,
+                transform=self._transforms.get(flavor))
         except Exception as exc:  # degrade down the chain, never kill serving
             get_registry().counter("resilience.compile_fallbacks",
                                    model=self.key.canonical()).inc()
@@ -145,22 +185,7 @@ class RegisteredModel:
                          model=self.key.canonical(), batch=batch,
                          flavor=flavor,
                          error=f"{type(exc).__name__}: {exc}")
-            plan = None
-        with self._lock:
-            if cache_key in self._plans:  # a racing builder won: keep theirs
-                self._plans.move_to_end(cache_key)
-                return self._plans[cache_key]
-            self._plans[cache_key] = plan
-            while (self.plan_cache_cap is not None
-                   and len(self._plans) > self.plan_cache_cap):
-                evicted_key, _ = self._plans.popitem(last=False)
-                get_registry().counter(
-                    "serve.plan_evictions", model=self.key.canonical()
-                ).inc()
-                _log.info("plan evicted (LRU)", model=self.key.canonical(),
-                          batch=evicted_key[0], flavor=evicted_key[1],
-                          cap=self.plan_cache_cap)
-            return plan
+            return None
 
 
 class ModelRegistry:

@@ -19,6 +19,11 @@ were merged into one lowering (the nine older entries untouched), so
 they pin the pruned-pointwise float step and the sparse int8 plan
 across that rewrite.
 
+The ``int8`` / ``sparse_int8`` ``output_sha256`` values (those alone)
+were regenerated when int8 calibration moved from batches of the plan's
+own shape to one fixed 16-image set per model, a deliberate change of
+the int8 answers; every other field stayed as pinned.
+
 Regenerate ONLY when a deliberate, reviewed behavior change to the plan
 builder lands — never to paper over an accidental diff.
 """

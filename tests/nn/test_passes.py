@@ -38,8 +38,7 @@ def small_net() -> Network:
 def run_pipeline(net, config, seed=0):
     executor = GraphExecutor(net, seed=seed)
     executor.eval()
-    shape = (1,) + tuple(net.input_shape)
-    tf = Pipeline.from_config(config).run(executor, net, shape, config)
+    tf = Pipeline.from_config(config).run(executor, net, config)
     return executor, tf
 
 

@@ -178,8 +178,7 @@ def sparse(trained):
     executor, shape = trained.executor, trained.shape
     for stage_sparsity, epochs, lr in PRUNE_STAGES:
         config = _sparse_config(sparsity=stage_sparsity)
-        tf = Pipeline.from_config(config).run(executor, trained.net, shape,
-                                              config)
+        tf = Pipeline.from_config(config).run(executor, trained.net, config)
         apply_pruning(executor, tf)
         _masked_finetune(executor, tf.masks, trained.train_data,
                          epochs=epochs, lr=lr)

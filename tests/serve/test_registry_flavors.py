@@ -90,3 +90,101 @@ class TestCompileFailureLatching:
         monkeypatch.undo()
         # Other flavors are unaffected by the latched int8 failure.
         assert model.plan_for(2, flavor="folded") is not None
+
+
+#: serve-open's two int8 lanes.
+SERVE_OPEN_KEYS = (ModelKey("mobilenet_v3_small", "full", resolution=32),
+                   ModelKey("mobilenet_v1", "half", resolution=32))
+
+
+@pytest.fixture
+def calibrations(monkeypatch):
+    """Image count of every int8 calibration run, in call order."""
+    import repro.nn.compile as compile_mod
+
+    seen = []
+    calibrate = compile_mod._calibrate_activations
+
+    def counting(executor, network, config, batches, transform=None):
+        seen.append(sum(len(b) for b in batches))
+        return calibrate(executor, network, config, batches, transform)
+
+    monkeypatch.setattr(compile_mod, "_calibrate_activations", counting)
+    return seen
+
+
+def _fresh_output(model, plan, seed=0):
+    """``plan`` and a standalone int8 compile at its batch, on one input."""
+    from repro.nn.compile import CompileConfig, compile_executor
+
+    fresh = compile_executor(model.executor, plan.input_shape,
+                             CompileConfig.int8())
+    x = np.random.default_rng(seed).standard_normal(
+        plan.input_shape).astype(np.float32)
+    return plan.run(x).tobytes(), fresh.run(x).tobytes()
+
+
+class TestInt8CompiledOncePerModel:
+    """One calibration and one weight quantization per (model, flavor);
+    every batch size lowers the same transform, byte-equal to a
+    standalone ``compile_executor`` at that batch size."""
+
+    @pytest.mark.parametrize("key", SERVE_OPEN_KEYS,
+                             ids=[k.canonical() for k in SERVE_OPEN_KEYS])
+    def test_every_batch_equals_standalone_compile(self, key):
+        model = ModelRegistry().get(key)
+        for batch in (1, 8, 3, 5, 2, 4, 6, 7):
+            got, want = _fresh_output(model, model.plan_for(
+                batch, flavor="int8"), seed=batch)
+            assert got == want, f"batch {batch}"
+
+    def test_one_calibration_across_batch_sizes(self, calibrations):
+        model = ModelRegistry().get(SERVE_OPEN_KEYS[0])
+        plans = [model.plan_for(b, flavor="int8") for b in range(1, 9)]
+        assert calibrations == [16]
+        assert len({id(p.transform) for p in plans}) == 1
+        details = plans[-1].pass_results[-1].details
+        assert details["calibration_images"] == 16
+
+    def test_evicted_plan_recompiles_without_recalibrating(
+            self, calibrations):
+        model = ModelRegistry(plan_cache_cap=1).get(SERVE_OPEN_KEYS[1])
+        first = model.plan_for(1, flavor="int8")
+        model.plan_for(2, flavor="int8")      # evicts batch 1
+        again = model.plan_for(1, flavor="int8")
+        assert again is not first
+        assert calibrations == [16]
+        got, want = _fresh_output(model, model.plan_for(2, flavor="int8"))
+        assert got == want
+
+    def test_racing_first_compiles_share_one_transform(self, calibrations):
+        import sys
+        import threading
+
+        model = ModelRegistry().get(SERVE_OPEN_KEYS[0])
+        batches = (2, 6, 2, 6)
+        start = threading.Barrier(len(batches))
+        plans = [None] * len(batches)
+
+        def compile_at(i):
+            start.wait(timeout=30)
+            plans[i] = model.plan_for(batches[i], flavor="int8")
+
+        threads = [threading.Thread(target=compile_at, args=(i,))
+                   for i in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calibrations == [16]
+        assert plans[0] is plans[2] and plans[1] is plans[3]
+        assert plans[0].transform is plans[1].transform
+        for plan in plans[:2]:
+            got, want = _fresh_output(model, plan)
+            assert got == want

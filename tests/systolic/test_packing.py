@@ -157,8 +157,7 @@ def net_packing(net, sparsity=0.75, gamma=8, seed=0):
     executor = GraphExecutor(net, seed=seed)
     executor.eval()
     config = CompileConfig.sparse(sparsity=sparsity, gamma=gamma)
-    shape = (1,) + tuple(net.input_shape)
-    tf = Pipeline.from_config(config).run(executor, net, shape, config)
+    tf = Pipeline.from_config(config).run(executor, net, config)
     return executor, tf
 
 

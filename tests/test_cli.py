@@ -135,6 +135,13 @@ class TestCompileStats:
         out = capsys.readouterr().out
         assert mode in out and "arena" in out
 
+    def test_int8_passes_report_calibration(self, capsys):
+        assert main(["compile-stats", "mobilenet_v3_small", "--int8",
+                     "--passes"]) == 0
+        out = capsys.readouterr().out
+        assert "quantize_int8" in out
+        assert "calibration_images=16" in out
+
     @pytest.mark.parametrize("flags", [
         ["--exact", "--int8"],
         ["--exact", "--sparsity", "0.5"],

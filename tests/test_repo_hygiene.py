@@ -3,7 +3,9 @@
 PR 6 accidentally committed 98 ``__pycache__/*.pyc`` files.  This guard
 fails tier-1 if any compiled bytecode (or a ``__pycache__`` directory)
 ever lands in the git index again, and checks that ``.gitignore`` keeps
-ignoring the patterns that caused it.
+ignoring the patterns that caused it.  No file that ``.gitignore``
+ignores (a stale ``*.egg-info/`` build artifact, say) may be tracked
+either.
 
 The user-facing docs cite Makefile targets and benchmark files by name;
 a deleted target or bench must take its citations with it.  Every
@@ -54,6 +56,14 @@ def test_no_tracked_bytecode(in_git_repo: None) -> None:
     assert not offenders, (
         "compiled bytecode is tracked by git (run `git rm -r --cached` on it):\n"
         + "\n".join(offenders[:20])
+    )
+
+
+def test_no_tracked_ignored_files(in_git_repo: None) -> None:
+    offenders = _git("ls-files", "-ci", "--exclude-standard").splitlines()
+    assert not offenders, (
+        "files that .gitignore ignores are tracked (run `git rm -r "
+        "--cached` on them):\n" + "\n".join(offenders[:20])
     )
 
 
